@@ -13,26 +13,40 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .errors import RigidkitError, SideConditionViolated
+from .errors import RigidkitError
 from .matrixcore import GroupSpec, Tolerance, load_matrix
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
-from .relations import rng_for, run_suite, suite_ids, trace_pairing, verify_all
+from .relations import run_suite, suite_ids, verify_all
 from .words import load_word, staircase_decompose, word_to_json, free_reduce
 from .lyapunov import CycleSpec, exponent_table, splitting, stable_cycle_feasible
 
 
-def _default_tol() -> float:
+def _tolerance(args) -> Tolerance:
+    """--tol, else the RIGIDKIT_TOL environment variable, else 1e-9."""
+    if args.tol is not None:
+        return Tolerance(args.tol)
     env = os.environ.get("RIGIDKIT_TOL")
-    return float(env) if env else 1e-9
+    return Tolerance(float(env) if env else 1e-9)
+
+
+def _sample_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _add_spec_args(p, required=False):
     p.add_argument("--family", choices=("so", "su"), default=None if required else "so")
     p.add_argument("--m", type=int, default=None if required else 4)
     p.add_argument("--n", type=int, default=None if required else 3)
+
+
+def _add_run_args(p):
+    p.add_argument("--samples", type=_sample_count, default=1000)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--json", action="store_true")
 
 
 def _spec_from(args) -> GroupSpec:
@@ -67,17 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one relation suite")
     _add_spec_args(p)
     p.add_argument("--suite", required=True, choices=suite_ids())
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    _add_run_args(p)
 
     p = sub.add_parser("verify-all", help="run every applicable suite")
     _add_spec_args(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    _add_run_args(p)
 
     p = sub.add_parser("lyapunov", help="exponent table and splitting at a Cartan vector")
     _add_spec_args(p)
@@ -109,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-pairing", help="trace pairing identity on random sphere pairs")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    _add_run_args(p)
     return ap
 
 
@@ -143,8 +148,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from(args)
-    tol = Tolerance(args.tol if args.tol is not None else _default_tol())
-    report = run_suite(spec, args.suite, args.samples, args.seed, tol)
+    report = run_suite(spec, args.suite, args.samples, args.seed, _tolerance(args))
     obj = report.to_json()
     lines = [f"suite {args.suite} on {spec}: {'pass' if report.passed else 'FAIL'} "
              f"(max residual {report.max_residual:.3e}, {report.samples} samples)"]
@@ -154,8 +158,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     spec = _spec_from(args)
-    tol = Tolerance(args.tol if args.tol is not None else _default_tol())
-    report = verify_all(spec, args.samples, args.seed, tol)
+    report = verify_all(spec, args.samples, args.seed, _tolerance(args))
     lines = [f"verify-all on {spec} (samples={args.samples}, seed={args.seed})"]
     for entry in report["suites"]:
         if "skipped" in entry:
@@ -228,22 +231,12 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_trace_pairing(args) -> int:
     spec = GroupSpec("su", args.m, args.n)
-    tol = Tolerance(args.tol if args.tol is not None else _default_tol())
-    worst = 0.0
-    for i in range(args.samples):
-        rng = rng_for(args.seed, "trace-pairing", i)
-        a = rng.normal(size=spec.tail) + 1j * rng.normal(size=spec.tail)
-        b = rng.normal(size=spec.tail) + 1j * rng.normal(size=spec.tail)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        lhs, rhs = trace_pairing(spec, a, b, tol)
-        worst = max(worst, float(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))))
-    passed = worst <= tol.rel
-    obj = {"spec": {"family": "su", "m": args.m, "n": args.n}, "samples": args.samples,
-           "seed": args.seed, "pass": passed, "max_residual": worst}
-    _emit(args, obj, [f"trace pairing on {spec}: {'pass' if passed else 'FAIL'} "
-                      f"(max residual {worst:.3e})"])
-    return 0 if passed else 1
+    report = run_suite(spec, "trace-pairing", args.samples, args.seed, _tolerance(args))
+    full = report.to_json()
+    obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual")}
+    _emit(args, obj, [f"trace pairing on {spec}: {'pass' if report.passed else 'FAIL'} "
+                      f"(max residual {report.max_residual:.3e})"])
+    return 0 if report.passed else 1
 
 
 _COMMANDS = {
@@ -268,13 +261,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except SideConditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RigidkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (RigidkitError, ValueError, OSError) as exc:   # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (CertificationError, NotOnSphere, OutOfRange, ShapeMismatch,
                      UnknownRoot, VariantUnsupported, ZeroParameter)
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, in_group
-from .rootsystem import RootLabel, _pm_data, embed, is_root
+from .rootsystem import RootLabel, embed, is_root, mirror_position, parse_label, root_position
 
 ZERO_PARAM_EPS = 1e-12
 
@@ -64,6 +64,22 @@ def expected_shape(spec: GroupSpec, root: RootLabel):
     if kind == "long":
         raise UnknownRoot(f"{root} is not a root of {spec}")
     return {"pm": Scalar, "vec": RVec}[kind]
+
+
+def as_param(spec: GroupSpec, root: RootLabel, value, t: float = 0.0):
+    """Wrap a raw value into the root's parameter shape.
+
+    ``value`` is the scalar of a Scalar or Cx root and the vector part of an
+    RVec or Heis root; ``t`` is the central part of a Heis parameter.
+    """
+    shape = expected_shape(spec, root)
+    if shape is Scalar:
+        return Scalar(float(value))
+    if shape is Cx:
+        return Cx(complex(value))
+    if shape is RVec:
+        return RVec(np.real(value))
+    return Heis(t, tuple(value))
 
 
 def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
@@ -141,50 +157,31 @@ def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
 
 
 def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
-    n, size = spec.n, spec.size
-    M = identity(size)
-    kind = root.kind
+    M = identity(spec.size)
+    kind, (row, col) = root_position(spec, root)
     if kind == "pm":
-        i, j, flavor = _pm_data(root)
         z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
-        if flavor == "diff":
-            M[i - 1, j - 1] += z
-            M[j + n - 1, i + n - 1] -= np.conj(z)
-        elif flavor == "sum":
-            M[i - 1, j + n - 1] += z
-            M[j - 1, i + n - 1] -= np.conj(z)
-        else:
-            M[j + n - 1, i - 1] += z
-            M[i + n - 1, j - 1] -= np.conj(z)
+        M[row, col] += z
+        M[mirror_position(spec, row, col)] -= np.conj(z)
         return M
-    idx = root.support[0] + 1
-    positive = root.coeffs[idx - 1] > 0
     if kind == "long":
-        pos = (idx - 1, idx + n - 1) if positive else (idx + n - 1, idx - 1)
-        M[pos] += 1j * p.t
+        M[row, col] += 1j * p.t
         return M
-    # vec root; rows/cols per sign, a0 entry carries the Heisenberg part
+    # vec root: the vector fills row `row` of the tail columns and, mirrored,
+    # column `col` of the tail rows; the a0 entry carries the Heisenberg part
     a = np.asarray(p.a, dtype=complex)
     a0 = heis_a0(p) if isinstance(p, Heis) else complex(-0.5 * float(a.real @ a.real))
-    row = idx - 1 if positive else idx + n - 1
-    col = idx + n - 1 if positive else idx - 1
-    for ell in range(spec.tail):
-        M[row, 2 * n + ell] += a[ell]
-        M[2 * n + ell, col] -= np.conj(a[ell])
+    tail = slice(2 * spec.n, None)
+    M[row, tail] += a
+    M[tail, col] -= np.conj(a)
     M[row, col] += a0
     return M
 
 
 def heis_read(spec: GroupSpec, root: RootLabel, M: np.ndarray) -> Heis:
     """Read the (t, a) coordinates of a unipotent ±L_i element off its entries."""
-    n = spec.n
-    idx = root.support[0] + 1
-    positive = root.coeffs[idx - 1] > 0
-    row = idx - 1 if positive else idx + n - 1
-    col = idx + n - 1 if positive else idx - 1
-    a = tuple(complex(M[row, 2 * n + ell]) for ell in range(spec.tail))
-    t = float(M[row, col].imag)
-    return Heis(t, a)
+    _, (row, col) = root_position(spec, root)
+    return Heis(float(M[row, col].imag), tuple(M[row, 2 * spec.n:]))
 
 
 def heis_compose(spec: GroupSpec, root: RootLabel, p: Heis, q: Heis) -> Heis:
@@ -313,12 +310,6 @@ def h_elem(spec: GroupSpec, root: RootLabel, p1, p2, tol: Tolerance = DEFAULT_TO
 # planar rotation elements h^j
 
 
-def _vec_label(spec: GroupSpec, positive: bool) -> RootLabel:
-    c = [0] * spec.n
-    c[spec.n - 1] = 1 if positive else -1
-    return RootLabel(tuple(c))
-
-
 def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
     """The rotation word h^j_{L_n}(sqrt2 a, sqrt2 b), evaluated verbatim.
 
@@ -340,7 +331,7 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         raise VariantUnsupported("orthogonal rotations take real (a, b)")
     s2 = np.sqrt(2.0)
     k = spec.tail
-    pos, neg = _vec_label(spec, True), _vec_label(spec, False)
+    pos, neg = parse_label(f"L{spec.n}", spec.n), parse_label(f"-L{spec.n}", spec.n)
     if spec.unitary:
         c = np.zeros(k, dtype=complex)
         c[j - 1] = s2 * a
@@ -426,47 +417,35 @@ def w_closed_form(spec: GroupSpec, root: RootLabel, p) -> PermDiag:
     check_param(spec, root, p)
     if is_zero_param(p):
         raise ZeroParameter(f"chain element of {root} needs a nonzero parameter")
-    n, size = spec.n, spec.size
-    kind = root.kind
-    if kind == "pm":
-        i, j, flavor = _pm_data(root)
-        if flavor == "msum":
-            return w_closed_form(spec, RootLabel(tuple(-c for c in root.coeffs)),
-                                 dual_param(spec, root, p))
-        z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
-        diag = [1.0 + 0j] * size
-        if flavor == "diff":
-            swaps = [(i, j), (i + n, j + n)]
-            diag[i - 1] = -1.0 / z
-            diag[j - 1] = z
-            diag[i + n - 1] = -np.conj(z)
-            diag[j + n - 1] = 1.0 / np.conj(z)
-        else:
-            swaps = [(i, j + n), (j, i + n)]
-            diag[i - 1] = -1.0 / z
-            diag[j - 1] = 1.0 / np.conj(z)
-            diag[i + n - 1] = -np.conj(z)
-            diag[j + n - 1] = z
-        return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
-    idx = root.support[0] + 1
-    if root.coeffs[idx - 1] < 0:
+    if max(root.coeffs) <= 0:
         return w_closed_form(spec, -root, dual_param(spec, root, p))
+    n, size = spec.n, spec.size
+    kind, (row, col) = root_position(spec, root)
     diag = [1.0 + 0j] * size
-    swaps = [(idx, idx + n)]
+    swaps = [(row + 1, col + 1)]
+    if kind == "pm":
+        z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
+        mrow, mcol = mirror_position(spec, row, col)
+        swaps.append((mrow + 1, mcol + 1))
+        diag[row] = -1.0 / z
+        diag[col] = z
+        diag[mcol] = -np.conj(z)
+        diag[mrow] = 1.0 / np.conj(z)
+        return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
     if isinstance(p, Scalar):  # unitary long root 2L_i
-        diag[idx - 1] = 1j / p.t
-        diag[idx + n - 1] = 1j * p.t
+        diag[row] = 1j / p.t
+        diag[col] = 1j * p.t
         return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
     if isinstance(p, RVec):
         a = np.asarray(p.a, dtype=float)
         na2 = float(a @ a)
-        diag[idx - 1] = -2.0 / na2
-        diag[idx + n - 1] = -na2 / 2.0
+        diag[row] = -2.0 / na2
+        diag[col] = -na2 / 2.0
         block = np.eye(spec.tail, dtype=complex) - 2.0 * np.outer(a, a) / na2
         return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)
     a = np.asarray(p.a, dtype=complex)
     a0 = heis_a0(p)
-    diag[idx - 1] = 1.0 / np.conj(a0)
-    diag[idx + n - 1] = a0
+    diag[row] = 1.0 / np.conj(a0)
+    diag[col] = a0
     block = np.eye(spec.tail, dtype=complex) + np.outer(np.conj(a), a) / a0
     return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)

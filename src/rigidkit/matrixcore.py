@@ -10,6 +10,7 @@ and the global tolerance policy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,10 @@ class Tolerance:
     """Relative Frobenius tolerance: A ~ B iff ||A-B||_F <= rel*(1+max norm)."""
 
     rel: float = 1e-9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel) and self.rel > 0):
+            raise ValueError(f"tolerance must be finite and above 0, got {self.rel!r}")
 
     def close(self, A: np.ndarray, B: np.ndarray) -> bool:
         return self.residual(A, B) <= self.rel

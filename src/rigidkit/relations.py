@@ -10,18 +10,20 @@ constants are never hard-coded but extracted numerically and certified.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import (DecompositionResidual, NoSolution, NotOnSphere, OppositeRoots,
                      PairingMismatch, SideConditionViolated, UnknownSuite)
 from .matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, identity, nilpotent_log)
-from .generators import (Cx, Heis, RVec, Scalar, _vec_label, _x_matrix, h_rot,
+from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, rot_from_angle,
                          w_matrix, x_elem)
-from .rootsystem import RootLabel, _pm_data, is_root, roots
+from .rootsystem import RootLabel, is_root, parse_label, root_position, roots
 from .words import su2_euler
 
 INV = np.linalg.inv
@@ -133,8 +135,10 @@ class _Recorder:
 
     def record(self, r: float, sample: int, inputs) -> None:
         r = float(r)
-        self.max_residual = max(self.max_residual, r)
-        if r > self.tol.rel:
+        # a NaN compares false both ways: it must still fail and show in the max
+        if math.isnan(r) or r > self.max_residual:
+            self.max_residual = r
+        if not math.isfinite(r) or r > self.tol.rel:
             self.failures.append({"sample": sample, "inputs": _jsonable(inputs), "residual": r})
 
 
@@ -154,43 +158,19 @@ class CommutatorTable:
                 "terms": [{"root": str(q), "param": param_to_json(par)} for q, par in self.terms]}
 
 
-def _leading_position(spec: GroupSpec, root: RootLabel):
-    n = spec.n
-    kind = root.kind
-    if kind == "pm":
-        i, j, flavor = _pm_data(root)
-        if flavor == "diff":
-            return (i - 1, j - 1)
-        if flavor == "sum":
-            return (i - 1, j + n - 1)
-        return (j + n - 1, i - 1)
-    idx = root.support[0] + 1
-    positive = root.coeffs[idx - 1] > 0
-    if kind == "long":
-        return (idx - 1, idx + n - 1) if positive else (idx + n - 1, idx - 1)
-    row = idx - 1 if positive else idx + n - 1
-    col = idx + n - 1 if positive else idx - 1
-    return (row, col)
-
-
 def _extract_term(spec: GroupSpec, q: RootLabel, X: np.ndarray, has_double: bool):
     """Read the group parameter of the q-component off the nilpotent log."""
-    n = spec.n
-    kind = q.kind
+    kind, pos = root_position(spec, q)
     if kind == "pm":
-        v = X[_leading_position(spec, q)]
+        v = X[pos]
         return Cx(complex(v)) if spec.unitary else Scalar(float(v.real))
     if kind == "long":
-        return Scalar(float(X[_leading_position(spec, q)].imag))
-    idx = q.support[0] + 1
-    positive = q.coeffs[idx - 1] > 0
-    row = idx - 1 if positive else idx + n - 1
-    a = tuple(complex(X[row, 2 * n + ell]) for ell in range(spec.tail))
+        return Scalar(float(X[pos].imag))
+    par = heis_read(spec, q, X)
     if not spec.unitary:
-        return RVec(tuple(x.real for x in a))
+        return RVec(tuple(x.real for x in par.a))
     # the doubled root, when present as a term, absorbs the central part
-    t = 0.0 if has_double else float(X[_leading_position(spec, q)].imag)
-    return Heis(t, a)
+    return Heis(0.0, par.a) if has_double else par
 
 
 def anti_proportional(r: RootLabel, p: RootLabel) -> bool:
@@ -270,11 +250,7 @@ def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
     for v in (a, b):
         if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
-    s2 = np.sqrt(2.0)
-    vec = _vec_label(spec, True)
-    Wa = w_matrix(spec, vec, Heis(0.0, tuple(s2 * a)))
-    Wb = w_matrix(spec, vec, Heis(0.0, tuple(s2 * b)))
-    C = (Wa @ Wb)[2 * spec.n:, 2 * spec.n:]
+    C = _reflection_pair(spec, 1, a, b)[2 * spec.n:, 2 * spec.n:]
     lhs = 4.0 * abs(np.vdot(b, a)) ** 2 + spec.tail - 4.0
     rhs = float(np.trace(C).real)
     return lhs, rhs
@@ -400,17 +376,20 @@ def wpair_refactor(spec: GroupSpec, j: int, lead, trail_angle: float, direction:
     return _wpair_so(spec, j, lead, trail_angle, direction, tol)
 
 
-def _w_vec_sqrt2(spec: GroupSpec, full_vec) -> np.ndarray:
-    vec = _vec_label(spec, True)
-    if spec.unitary:
-        return w_matrix(spec, vec, Heis(0.0, tuple(np.sqrt(2.0) * np.asarray(full_vec, dtype=complex))))
-    return w_matrix(spec, vec, RVec(tuple(np.sqrt(2.0) * np.asarray(full_vec, dtype=complex).real)))
+def _chain(spec: GroupSpec, root: RootLabel, value, t: float = 0.0) -> np.ndarray:
+    """Chain element of ``root`` at the raw parameter ``value`` (see as_param)."""
+    return w_matrix(spec, root, as_param(spec, root, value, t))
 
 
-def _embed_slots(spec: GroupSpec, j: int, local) -> np.ndarray:
-    full = np.zeros(spec.tail, dtype=complex)
-    full[j - 1:j - 1 + len(local)] = local
-    return full
+def _reflection_pair(spec: GroupSpec, j: int, x, y) -> np.ndarray:
+    """w(sqrt2 x) w(sqrt2 y) on L_n, with x and y placed from tail slot j on."""
+    vec = parse_label(f"L{spec.n}", spec.n)
+
+    def w(local):
+        full = np.zeros(spec.tail, dtype=complex)
+        full[j - 1:j - 1 + len(local)] = local
+        return _chain(spec, vec, np.sqrt(2.0) * full)
+    return w(x) @ w(y)
 
 
 def _wpair_so(spec, j, lead, trail_angle, direction, tol):
@@ -451,10 +430,10 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
         theta = ang_u - ang_v
         d = np.cos(ang_w + theta) * e1 + np.sin(ang_w + theta) * e2
         yp = float(np.arctan2(w[2], w[1])) if direction == "to_imag" else float(np.arctan2(w[1], w[0]))
-    L = _w_vec_sqrt2(spec, _embed_slots(spec, j, u)) @ _w_vec_sqrt2(spec, _embed_slots(spec, j, v))
+    L = _reflection_pair(spec, j, u, v)
     wp = np.array([0.0, np.cos(yp), np.sin(yp)]) if direction == "to_imag" \
         else np.array([np.cos(yp), np.sin(yp), 0.0])
-    R = _w_vec_sqrt2(spec, _embed_slots(spec, j, d)) @ _w_vec_sqrt2(spec, _embed_slots(spec, j, wp))
+    R = _reflection_pair(spec, j, d, wp)
     resid = tol.residual(L, R)
     if resid > 1e-8:
         raise NoSolution(f"orthogonal pair refactoring failed certification: {resid:.3e}")
@@ -498,10 +477,8 @@ def _wpair_su(spec, j, lead, trail_angle, direction, tol):
     else:
         c, d = _line_to_g2(line)
         new_lead_vec = _g2(c, d)
-    L = _w_vec_sqrt2(spec, _embed_slots(spec, j, lead_vec)) \
-        @ _w_vec_sqrt2(spec, _embed_slots(spec, j, trail_vec))
-    R = _w_vec_sqrt2(spec, _embed_slots(spec, j, new_lead_vec)) \
-        @ _w_vec_sqrt2(spec, _embed_slots(spec, j, out_vec))
+    L = _reflection_pair(spec, j, lead_vec, trail_vec)
+    R = _reflection_pair(spec, j, new_lead_vec, out_vec)
     resid = tol.residual(L, R)
     if resid > 1e-8:
         raise NoSolution(f"unitary pair refactoring failed certification: {resid:.3e}")
@@ -578,21 +555,7 @@ def _su2_block_word(spec, i, V):
 
 def _h_word(spec, root, t):
     """h_root(t) = w(t) w(1)^-1, evaluated as the six-factor defining word."""
-    one = Cx(1.0 + 0j) if spec.unitary else Scalar(1.0)
-    par = Cx(complex(t)) if spec.unitary else Scalar(float(t))
-    return w_matrix(spec, root, par) @ INV(w_matrix(spec, root, one))
-
-
-def _h12(spec):
-    c = [0] * spec.n
-    c[0], c[1] = 1, -1
-    return RootLabel(tuple(c))
-
-
-def _h12_sum(spec):
-    c = [0] * spec.n
-    c[0], c[1] = 1, 1
-    return RootLabel(tuple(c))
+    return _chain(spec, root, t) @ INV(_chain(spec, root, 1.0))
 
 
 def _suite_additivity(spec, samples, seed, tol):
@@ -632,7 +595,7 @@ def _suite_commutator(spec, samples, seed, tol):
 
 def _suite_h_mult(spec, samples, seed, tol):
     rec = _Recorder(tol)
-    root = _h12(spec)
+    root = parse_label("L1-L2", spec.n)
     sid = "h-mult-su" if spec.unitary else "h-mult-so"
     for i in range(samples):
         rng = rng_for(seed, sid, i)
@@ -646,7 +609,8 @@ def _suite_h_mult(spec, samples, seed, tol):
 
 def _suite_center_so(spec, samples, seed, tol):
     rec = _Recorder(tol)
-    lhs = _h_word(spec, _h12(spec), -1.0) @ _h_word(spec, _h12_sum(spec), -1.0)
+    diff, plus = parse_label("L1-L2", spec.n), parse_label("L1+L2", spec.n)
+    lhs = _h_word(spec, diff, -1.0) @ _h_word(spec, plus, -1.0)
     rec.check(lhs, identity(spec.size), 0, {"relation": "h_{L1-L2}(-1) h_{L1+L2}(-1) = id"})
     return 1, rec
 
@@ -655,13 +619,9 @@ def _suite_center_su(spec, samples, seed, tol):
     rec = _Recorder(tol)
     n = spec.n
     if spec.tail > 0:
-        vec = _vec_label(spec, True)
-        minus_one = Heis(-1.0, (0.0,) * spec.tail)
-        w = w_matrix(spec, vec, minus_one)
+        w = _chain(spec, parse_label(f"L{n}", n), (0.0,) * spec.tail, t=-1.0)
     else:
-        c = [0] * n
-        c[n - 1] = 2
-        w = w_matrix(spec, RootLabel(tuple(c)), Scalar(-1.0))
+        w = _chain(spec, parse_label(f"2L{n}", n), -1.0)
     h = w @ w
     # h is a nontrivial central diagonal with h^2 = id
     expected = np.ones(spec.size, dtype=complex)
@@ -691,155 +651,122 @@ def _suite_rot(spec, samples, seed, tol):
     return samples, rec
 
 
-def _w_vec(spec, positive, param_vec, t=0.0):
-    label = _vec_label(spec, positive)
-    if spec.unitary:
-        return w_matrix(spec, label, Heis(t, tuple(np.asarray(param_vec, dtype=complex))))
-    return w_matrix(spec, label, RVec(tuple(np.asarray(param_vec, dtype=float))))
-
-
-def _w_pm(spec, i, j, flavor, z):
-    c = [0] * spec.n
-    if flavor == "diff":
-        c[i - 1], c[j - 1] = 1, -1
-    else:
-        c[i - 1], c[j - 1] = 1, 1
-    par = Cx(complex(z)) if spec.unitary else Scalar(float(z))
-    return w_matrix(spec, RootLabel(tuple(c)), par)
+def _conj_labels(n):
+    """L_n, L_{n-1}, L_{n-1}-L_n and L_{n-1}+L_n: the roots of the conjugation lemmas."""
+    return tuple(parse_label(text, n) for text in
+                 (f"L{n}", f"L{n - 1}", f"L{n - 1}-L{n}", f"L{n - 1}+L{n}"))
 
 
 def _suite_conj_so(spec, samples, seed, tol):
     rec = _Recorder(tol)
     n, k = spec.n, spec.tail
+    vec, vec1, diff, plus = _conj_labels(n)
+    w = partial(_chain, spec)
     for i in range(samples):
         rng = rng_for(seed, "conj-so", i)
-        a = np.asarray(rand_param(spec, _vec_label(spec, True), rng, invertible=True).a)
+        a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
         t = _inv_real(rng)
         na2 = float(a @ a)
         inputs = {"a": list(a), "t": t}
-        Wn = _w_vec(spec, True, a)
-        Wd = _w_pm(spec, n - 1, n, "diff", t)
+        Wn = w(vec, a)
+        Wd = w(diff, t)
         Wd_inv = INV(Wd)
         Wn_inv = INV(Wn)
-        rec.check(Wn @ Wd @ Wn_inv, _w_pm(spec, n - 1, n, "sum", -0.5 * na2 * t), i, inputs)
-        rec.check(Wn @ _w_pm(spec, n - 1, n, "sum", t) @ Wn_inv,
-                  _w_pm(spec, n - 1, n, "diff", -2.0 / na2 * t), i, inputs)
-        Wn1 = _w_vec_at(spec, n - 1, a * t)
+        rec.check(Wn @ Wd @ Wn_inv, w(plus, -0.5 * na2 * t), i, inputs)
+        rec.check(Wn @ w(plus, t) @ Wn_inv, w(diff, -2.0 / na2 * t), i, inputs)
+        Wn1 = w(vec1, a * t)
         rec.check(Wd @ Wn @ Wd_inv, Wn1, i, inputs)
-        rec.check(Wd @ _w_vec_at(spec, n - 1, a) @ Wd_inv, _w_vec(spec, True, -a / t), i, inputs)
-        H = Wd @ INV(_w_pm(spec, n - 1, n, "diff", 1.0))
-        rec.check(H @ Wn @ INV(H), _w_vec(spec, True, a / t), i, inputs)
-        Hp = lambda u: _w_pm(spec, n - 1, n, "sum", u) @ INV(_w_pm(spec, n - 1, n, "sum", 1.0))
+        rec.check(Wd @ w(vec1, a) @ Wd_inv, w(vec, -a / t), i, inputs)
+        H = Wd @ INV(w(diff, 1.0))
+        rec.check(H @ Wn @ INV(H), w(vec, a / t), i, inputs)
+        Hp = lambda u: w(plus, u) @ INV(w(plus, 1.0))
         rec.check(Wn @ H @ Wn_inv, Hp(-0.5 * na2 * t) @ INV(Hp(-0.5 * na2)), i, inputs)
         # reflection-group conjugation (le:14 analog at matrix level)
         cnt = int(rng.integers(1, 4))
         W = identity(spec.size)
         for _ in range(cnt):
-            W = W @ _w_vec(spec, True, np.sqrt(2.0) * _unit_vec(rng, k))
+            W = W @ w(vec, np.sqrt(2.0) * _unit_vec(rng, k))
         B = W[2 * n:, 2 * n:].real
         av = _unit_vec(rng, k)
-        rec.check(W @ _w_vec(spec, True, np.sqrt(2.0) * av) @ INV(W),
-                  _w_vec(spec, True, np.sqrt(2.0) * (B @ av)), i, inputs)
+        rec.check(W @ w(vec, np.sqrt(2.0) * av) @ INV(W),
+                  w(vec, np.sqrt(2.0) * (B @ av)), i, inputs)
     return samples, rec
-
-
-def _w_vec_at(spec, idx, vec, t=0.0):
-    """Chain element of the vector root ±L_idx (not just L_n)."""
-    c = [0] * spec.n
-    c[idx - 1] = 1
-    label = RootLabel(tuple(c))
-    if spec.unitary:
-        return w_matrix(spec, label, Heis(t, tuple(np.asarray(vec, dtype=complex))))
-    return w_matrix(spec, label, RVec(tuple(np.asarray(vec, dtype=float))))
-
-
-def _w_long(spec, idx, t):
-    c = [0] * spec.n
-    c[idx - 1] = 2
-    return w_matrix(spec, RootLabel(tuple(c)), Scalar(float(t)))
 
 
 def _suite_conj_su(spec, samples, seed, tol):
     rec = _Recorder(tol)
     n, k = spec.n, spec.tail
+    vec, vec1, diff, plus = _conj_labels(n)
+    long, long1 = parse_label(f"2L{n}", n), parse_label(f"2L{n - 1}", n)
+    neg, neg1 = -vec, -vec1
+    w = partial(_chain, spec)
     for i in range(samples):
         rng = rng_for(seed, "conj-su", i)
         z = _inv_cx(rng)
         t = _inv_real(rng)
-        Wd = _w_pm(spec, n - 1, n, "diff", z)
+        Wd = w(diff, z)
         Wd_inv = INV(Wd)
-        W2 = _w_long(spec, n, t)
+        W2 = w(long, t)
         inputs = {"z": [z.real, z.imag], "t": t}
         # long-root items exist for every signature
-        rec.check(Wd @ W2 @ Wd_inv, _w_long(spec, n - 1, t * abs(z) ** 2), i, inputs)
-        rec.check(W2 @ Wd @ INV(W2), _w_pm(spec, n - 1, n, "sum", -t * z * 1j), i, inputs)
-        H = Wd @ INV(_w_pm(spec, n - 1, n, "diff", 1.0))
-        rec.check(H @ W2 @ INV(H), _w_long(spec, n, t / abs(z) ** 2), i, inputs)
-        Hp = lambda u: _w_pm(spec, n - 1, n, "sum", u) @ INV(_w_pm(spec, n - 1, n, "sum", 1.0))
+        rec.check(Wd @ W2 @ Wd_inv, w(long1, t * abs(z) ** 2), i, inputs)
+        rec.check(W2 @ Wd @ INV(W2), w(plus, -t * z * 1j), i, inputs)
+        H = Wd @ INV(w(diff, 1.0))
+        rec.check(H @ W2 @ INV(H), w(long, t / abs(z) ** 2), i, inputs)
+        Hp = lambda u: w(plus, u) @ INV(w(plus, 1.0))
         rec.check(W2 @ H @ INV(W2), Hp(-t * z * 1j) @ INV(Hp(-t * 1j)), i, inputs)
         if k == 0:
             continue
-        par = rand_param(spec, _vec_label(spec, True), rng, invertible=True)
+        par = rand_param(spec, vec, rng, invertible=True)
         a = np.asarray(par.a)
         while np.linalg.norm(a) < 0.25:
-            a = np.asarray(rand_param(spec, _vec_label(spec, True), rng, invertible=True).a)
+            a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
         na2 = float(np.vdot(a, a).real)
         inputs = {"z": [z.real, z.imag], "t": t, "a": [[x.real, x.imag] for x in a]}
-        W0a = _w_vec(spec, True, a)
+        W0a = w(vec, a)
         W0a_inv = INV(W0a)
-        rec.check(W0a @ Wd @ W0a_inv, _w_pm(spec, n - 1, n, "sum", -0.5 * na2 * z), i, inputs)
-        rec.check(W0a @ _w_pm(spec, n - 1, n, "sum", z) @ W0a_inv,
-                  _w_pm(spec, n - 1, n, "diff", -2.0 / na2 * z), i, inputs)
-        rec.check(Wd @ W0a @ Wd_inv, _w_vec_at(spec, n - 1, a * z), i, inputs)
-        rec.check(Wd @ _w_vec_at(spec, n - 1, a) @ Wd_inv, _w_vec(spec, True, -a / z), i, inputs)
-        rec.check(H @ W0a @ INV(H), _w_vec(spec, True, a / z), i, inputs)
+        rec.check(W0a @ Wd @ W0a_inv, w(plus, -0.5 * na2 * z), i, inputs)
+        rec.check(W0a @ w(plus, z) @ W0a_inv, w(diff, -2.0 / na2 * z), i, inputs)
+        rec.check(Wd @ W0a @ Wd_inv, w(vec1, a * z), i, inputs)
+        rec.check(Wd @ w(vec1, a) @ Wd_inv, w(vec, -a / z), i, inputs)
+        rec.check(H @ W0a @ INV(H), w(vec, a / z), i, inputs)
         rec.check(W0a @ H @ W0a_inv, Hp(-0.5 * na2 * z) @ INV(Hp(-0.5 * na2)), i, inputs)
         # reflection-group conjugation of chains and unipotents
         cnt = int(rng.integers(1, 4))
         W = identity(spec.size)
         for _ in range(cnt):
-            W = W @ _w_vec(spec, True, np.sqrt(2.0) * _unit_vec(rng, k, cx=True))
+            W = W @ w(vec, np.sqrt(2.0) * _unit_vec(rng, k, cx=True))
         B = W[2 * n:, 2 * n:]
         av = _unit_vec(rng, k, cx=True)
         sign = 1.0 if cnt % 2 == 0 else -1.0
-        rec.check(W @ _w_vec(spec, True, np.sqrt(2.0) * av) @ INV(W),
-                  _w_vec(spec, True, np.sqrt(2.0) * sign * (np.conj(B) @ av)), i, inputs)
+        rec.check(W @ w(vec, np.sqrt(2.0) * av) @ INV(W),
+                  w(vec, np.sqrt(2.0) * sign * (np.conj(B) @ av)), i, inputs)
         tb = _ureal(rng)
         bvec = rng.uniform(-2, 2, size=k) + 1j * rng.uniform(-2, 2, size=k)
-        Lx = W @ x_elem(spec, _vec_label(spec, True), Heis(tb, tuple(bvec))) @ INV(W)
+        Lx = W @ x_elem(spec, vec, Heis(tb, tuple(bvec))) @ INV(W)
         if cnt % 2 == 0:
-            Rx = x_elem(spec, _vec_label(spec, True), Heis(tb, tuple(np.conj(B) @ bvec)))
+            Rx = x_elem(spec, vec, Heis(tb, tuple(np.conj(B) @ bvec)))
         else:
             # the t part is fixed by the central entry; only the vector flips
-            Rx = x_elem(spec, _vec_label(spec, False), Heis(tb, tuple(-np.conj(B) @ bvec)))
+            Rx = x_elem(spec, neg, Heis(tb, tuple(-np.conj(B) @ bvec)))
         rec.check(Lx, Rx, i, inputs)
         # general-parameter chains
         tgen = _inv_real(rng)
         a0 = complex(-0.5 * na2, tgen)
-        Wta = _w_vec(spec, True, a, t=tgen)
+        Wta = w(vec, a, t=tgen)
         Bta = Wta[2 * n:, 2 * n:]
         t1 = _inv_real(rng)
-        bpar = rand_param(spec, _vec_label(spec, True), rng, invertible=True)
-        Wt1b = _w_vec(spec, True, np.asarray(bpar.a), t=t1)
+        bpar = rand_param(spec, vec, rng, invertible=True)
+        Wt1b = w(vec, np.asarray(bpar.a), t=t1)
         lhs = Wta @ Wt1b @ INV(Wta)
-        rhs = w_matrix(spec, _vec_label(spec, False),
-                       Heis(t1 / abs(a0) ** 2, tuple(np.conj(Bta / a0) @ np.asarray(bpar.a))))
+        rhs = w(neg, np.conj(Bta / a0) @ np.asarray(bpar.a), t=t1 / abs(a0) ** 2)
         rec.check(lhs, rhs, i, inputs)
-        rec.check(Wta @ Wd @ INV(Wta), _w_pm(spec, n - 1, n, "sum", z * np.conj(a0)), i, inputs)
-        rec.check(Wta @ _w_pm(spec, n - 1, n, "sum", z) @ INV(Wta),
-                  _w_pm(spec, n - 1, n, "diff", z / a0), i, inputs)
-        Wp = _w_pm(spec, n - 1, n, "sum", z)
-        rec.check(Wp @ Wta @ INV(Wp),
-                  w_matrix(spec, RootLabel(tuple(-c for c in _vec_label_at(spec, n - 1).coeffs)),
-                           Heis(tgen / abs(z) ** 2, tuple(np.conj(1.0 / z) * a))), i, inputs)
-        rec.check(Wd @ Wta @ Wd_inv, _w_vec_at(spec, n - 1, z * a, t=tgen * abs(z) ** 2), i, inputs)
+        rec.check(Wta @ Wd @ INV(Wta), w(plus, z * np.conj(a0)), i, inputs)
+        rec.check(Wta @ w(plus, z) @ INV(Wta), w(diff, z / a0), i, inputs)
+        Wp = w(plus, z)
+        rec.check(Wp @ Wta @ INV(Wp), w(neg1, np.conj(1.0 / z) * a, t=tgen / abs(z) ** 2), i, inputs)
+        rec.check(Wd @ Wta @ Wd_inv, w(vec1, z * a, t=tgen * abs(z) ** 2), i, inputs)
     return samples, rec
-
-
-def _vec_label_at(spec, idx):
-    c = [0] * spec.n
-    c[idx - 1] = 1
-    return RootLabel(tuple(c))
 
 
 def _symbol_word(spec, root, s, t):
@@ -850,7 +777,7 @@ def _symbol_word(spec, root, s, t):
 def _suite_symbol_scalar(spec, samples, seed, tol):
     rec = _Recorder(tol)
     sid = "symbol-C" if spec.unitary else "symbol-R"
-    root = _h12(spec)
+    root = parse_label("L1-L2", spec.n)
     I = identity(spec.size)
     draw = _inv_cx if spec.unitary else _inv_real
     for i in range(samples):

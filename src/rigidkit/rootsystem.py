@@ -134,63 +134,58 @@ def multiplicity(spec: GroupSpec, label: RootLabel) -> int:
         raise UnknownRoot(f"{label} is not a root of {spec}") from None
 
 
-def _pm_data(label: RootLabel):
-    """For a ±L_i±L_j root return (i, j, kind) with kind in diff/sum/msum.
+@lru_cache(maxsize=None)
+def root_position(spec: GroupSpec, root: RootLabel) -> tuple:
+    """Where a root space sits in the matrix: (kind, (row, col)), 0-based.
 
-    diff means L_i - L_j (either order of indices), sum means L_i + L_j
-    with i < j, msum means -L_i - L_j with i < j.
+    Row k < n carries the weight L_{k+1}, row k + n the weight -L_{k+1},
+    and the tail rows weight 0; an entry (row, col) lies in the root space
+    of weight(row) - weight(col).  The leading entry is the parameter entry
+    of a ±L_i±L_j or ±2L_i root and the central (a0) entry of a ±L_i root,
+    whose vector part fills row ``row`` at the tail columns.  Every entry
+    pairs with its ``mirror_position``.
     """
-    (a, b) = label.support
-    ca, cb = label.coeffs[a], label.coeffs[b]
-    i, j = a + 1, b + 1
-    if ca == 1 and cb == -1:
-        return i, j, "diff"
-    if ca == -1 and cb == 1:
-        return j, i, "diff"
-    if ca == 1 and cb == 1:
-        return i, j, "sum"
-    return i, j, "msum"
+    n = spec.n
+    kind = root.kind
+    up = [k for k in root.support if root.coeffs[k] > 0]
+    down = [k for k in root.support if root.coeffs[k] < 0]
+    if kind != "pm":
+        k = root.support[0]
+        return kind, ((k, k + n) if up else (k + n, k))
+    if up and down:                           # L_i - L_j
+        return kind, (up[0], down[0])
+    if up:                                    # L_i + L_j, i < j
+        return kind, (up[0], up[1] + n)
+    return kind, (down[1] + n, down[0])       # -L_i - L_j, i < j
+
+
+def mirror_position(spec: GroupSpec, row: int, col: int) -> tuple:
+    """The entry the invariant form pairs with (row, col), 0-based.
+
+    Every algebra element has X[s(col), s(row)] = -conj(X[row, col]), where
+    s swaps k and k + n for k < 2n and fixes the tail.
+    """
+    n = spec.n
+    s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
+    return s(col), s(row)
 
 
 def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
     """Basis matrices of the root space, in the split-basis coordinates."""
     if not is_root(spec, label):
         raise UnknownRoot(f"{label} is not a root of {spec}")
-    n, size = spec.n, spec.size
-    E = lambda r, c, v=1.0: basis_matrix(size, r, c, v)
-    kind = label.kind
-    if kind == "pm":
-        i, j, flavor = _pm_data(label)
-        if flavor == "diff":
-            f1 = E(i, j) - E(j + n, i + n)
-            f2 = E(i, j, 1j) + E(j + n, i + n, 1j)
-        elif flavor == "sum":
-            f1 = E(i, j + n) - E(j, i + n)
-            f2 = E(i, j + n, 1j) + E(j, i + n, 1j)
-        else:
-            f1 = E(j + n, i) - E(i + n, j)
-            f2 = E(j + n, i, 1j) + E(i + n, j, 1j)
-        return [f1, f2] if spec.unitary else [f1]
-    if kind == "vec":
-        i = label.support[0] + 1
-        sign = label.coeffs[i - 1]
-        out = []
-        for ell in range(1, spec.tail + 1):
-            if sign > 0:
-                f1 = E(i, 2 * n + ell) - E(2 * n + ell, i + n)
-                f2 = E(i, 2 * n + ell, 1j) + E(2 * n + ell, i + n, 1j)
-            else:
-                f1 = E(i + n, 2 * n + ell) - E(2 * n + ell, i)
-                f2 = E(i + n, 2 * n + ell, 1j) + E(2 * n + ell, i, 1j)
-            out.append(f1)
-            if spec.unitary:
-                out.append(f2)
-        return out
-    # long root 2L_i (unitary only)
-    i = label.support[0] + 1
-    if label.coeffs[i - 1] > 0:
-        return [E(i, i + n, 1j)]
-    return [E(i + n, i, 1j)]
+    E = lambda pos, v=1.0: basis_matrix(spec.size, pos[0] + 1, pos[1] + 1, v)
+    kind, (row, col) = root_position(spec, label)
+    if kind == "long":
+        return [E((row, col), 1j)]
+    entries = [(row, col)] if kind == "pm" else [(row, c) for c in range(2 * spec.n, spec.size)]
+    out = []
+    for pos in entries:
+        mirror = mirror_position(spec, *pos)
+        out.append(E(pos) - E(mirror))
+        if spec.unitary:
+            out.append(E(pos, 1j) + E(mirror, 1j))
+    return out
 
 
 def root_value(label: RootLabel, t) -> float:
@@ -201,31 +196,31 @@ def root_value(label: RootLabel, t) -> float:
     return float(np.dot(label.coeffs, t))
 
 
-def parse_root(text: str, spec: GroupSpec) -> RootLabel:
-    """Parse the root grammar ("L1-L2", "-L1-L2", "L3", "2L3", ...).
+@lru_cache(maxsize=256)
+def parse_label(text: str, n: int) -> RootLabel:
+    """Parse the root grammar ("L1-L2", "-L1-L2", "L3", "2L3", ...) over n
+    Cartan coordinates, without asking whether the label is a root.
 
-    Raises ParseError on bad syntax and UnknownRoot when the text is
-    well-formed but names no root of ``spec``.
+    Raises ParseError on bad syntax and UnknownRoot on an index outside 1..n.
     """
-    s = text.strip().replace(" ", "")
-    mt = _ROOT_RE.match(s)
+    mt = _ROOT_RE.match(text.strip().replace(" ", ""))
     if not mt:
         raise ParseError(f"cannot parse root {text!r}")
-    sign1, two1, idx1, sign2, two2, idx2 = mt.groups()
-    n = spec.n
+    groups = mt.groups()
     coeffs = [0] * n
-    i1 = int(idx1)
-    if not (1 <= i1 <= n):
-        raise UnknownRoot(f"index {i1} out of range for n={n}")
-    c1 = (2 if two1 else 1) * (-1 if sign1 == "-" else 1)
-    coeffs[i1 - 1] += c1
-    if idx2 is not None:
-        i2 = int(idx2)
-        if not (1 <= i2 <= n):
-            raise UnknownRoot(f"index {i2} out of range for n={n}")
-        c2 = (2 if two2 else 1) * (-1 if sign2 == "-" else 1)
-        coeffs[i2 - 1] += c2
-    label = RootLabel(tuple(coeffs))
+    for sign, two, idx in (groups[:3], groups[3:]):
+        if idx is None:
+            continue
+        i = int(idx)
+        if not (1 <= i <= n):
+            raise UnknownRoot(f"index {i} out of range for n={n}")
+        coeffs[i - 1] += (2 if two else 1) * (-1 if sign == "-" else 1)
+    return RootLabel(tuple(coeffs))
+
+
+def parse_root(text: str, spec: GroupSpec) -> RootLabel:
+    """Parse the root grammar; UnknownRoot when the text names no root of ``spec``."""
+    label = parse_label(text, spec.n)
     if not is_root(spec, label):
         raise UnknownRoot(f"{text!r} is not a root of {spec}")
     return label

@@ -158,3 +158,28 @@ def test_tolerance_env_override(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--suite", "additivity", "--family", "so",
                      "--m", "4", "--n", "3", "--samples", "10")
     assert code == 0
+
+
+@pytest.mark.parametrize("tol, env", [("nan", None), ("-1", None), (None, "nan")],
+                         ids=["tol-nan", "tol-negative", "env-nan"])
+def test_invalid_tolerance_exit_2(capsys, monkeypatch, tol, env):
+    if env is None:
+        monkeypatch.delenv("RIGIDKIT_TOL", raising=False)
+    else:
+        monkeypatch.setenv("RIGIDKIT_TOL", env)
+    argv = ["verify", "--suite", "additivity", "--family", "so", "--m", "4", "--n", "3",
+            "--samples", "5", "--json"] + (["--tol", tol] if tol is not None else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "tolerance" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "additivity"], ["verify-all"],
+                                     ["trace-pairing", "--m", "5"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_exit_2(capsys, command, samples):
+    code, out, err = run(capsys, *command, "--samples", samples, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err

@@ -4,19 +4,22 @@ import pytest
 from rigidkit.errors import (NotOnSphere, OutOfRange, ShapeMismatch, VariantUnsupported,
                              ZeroParameter)
 from rigidkit.matrixcore import (DEFAULT_TOL, GroupSpec, basis_matrix,
-                                 exp_nilpotent, identity, in_group)
+                                 exp_nilpotent, identity, in_group, nilpotent_log)
 from rigidkit.generators import (Cx, Heis, RVec, Scalar, h_elem, h_rot,
                                  heis_compose, heis_read, param_add, param_from_json,
                                  param_neg, param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
-from rigidkit.rootsystem import RootLabel, parse_root, roots
-from rigidkit.relations import rand_param, rng_for
+from rigidkit.rootsystem import (RootLabel, mirror_position, parse_root, root_position,
+                                 root_space_basis, roots)
+from rigidkit.relations import _extract_term, rand_param, rng_for
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
 SU33 = GroupSpec("su", 3, 3)
 SU43 = GroupSpec("su", 4, 3)
 ALL_SPECS = [GroupSpec("so", 3, 3), SO43, SO53, SU33, SU43, GroupSpec("su", 5, 3)]
+ACCEPTANCE = [GroupSpec("so", m, 3) for m in (3, 4, 5, 6)] + [GroupSpec("su", m, 3) for m in (3, 4, 5)]
+ACCEPTANCE_ROOTS = [(spec, info.label) for spec in ACCEPTANCE for info in roots(spec)]
 
 
 def test_x_zero_parameter_is_identity():
@@ -106,18 +109,54 @@ def test_additivity_and_inverse():
 
 
 def test_heis_readback_and_composition_law():
+    # every unitary vector root of every acceptance spec, both signs
     rng = np.random.default_rng(13)
-    spec = GroupSpec("su", 5, 3)
-    root = parse_root("L2", spec)
-    for _ in range(50):
+    cases = [(spec, root) for spec, root in ACCEPTANCE_ROOTS
+             if spec.unitary and root.kind == "vec"]
+    assert len(cases) == 12
+    for spec, root in cases:
+        for _ in range(20):
+            p = rand_param(spec, root, rng)
+            q = rand_param(spec, root, rng)
+            assert heis_read(spec, root, x_elem(spec, root, p)) == p
+            comp = heis_compose(spec, root, p, q)
+            # vector parts add; the central part picks up -Im<a, b>
+            assert np.allclose(comp.a, np.add(p.a, q.a))
+            corr = float(np.imag(np.vdot(np.asarray(q.a), np.asarray(p.a))))
+            assert abs(comp.t - (p.t + q.t - corr)) < 1e-12
+
+
+def _weight(spec, k):
+    """Weight of basis vector k (0-based): L_{k+1}, -L_{k+1-n}, or 0 on the tail."""
+    w = np.zeros(spec.n, dtype=int)
+    if k < 2 * spec.n:
+        w[k % spec.n] = 1 if k < spec.n else -1
+    return w
+
+
+def _flat(p):
+    return np.hstack([np.ravel(v) for v in param_to_json(p).values()])
+
+
+@pytest.mark.parametrize("spec, root", ACCEPTANCE_ROOTS,
+                         ids=[f"{spec}-{root}" for spec, root in ACCEPTANCE_ROOTS])
+def test_stencil_round_trip(spec, root):
+    # x_elem writes through the stencil, _extract_term reads back off the log
+    rng = np.random.default_rng(17)
+    for _ in range(5):
         p = rand_param(spec, root, rng)
-        q = rand_param(spec, root, rng)
-        assert heis_read(spec, root, x_elem(spec, root, p)) == p
-        comp = heis_compose(spec, root, p, q)
-        # vector parts add; the central part picks up -Im<a, b>
-        assert np.allclose(comp.a, np.add(p.a, q.a))
-        corr = float(np.imag(np.vdot(np.asarray(q.a), np.asarray(p.a))))
-        assert abs(comp.t - (p.t + q.t - corr)) < 1e-12
+        got = _extract_term(spec, root, nilpotent_log(x_elem(spec, root, p)), False)
+        assert type(got) is type(p)
+        assert np.allclose(_flat(got), _flat(p), rtol=0, atol=1e-12)
+    # the basis sits exactly at the stencil's entries and their mirrors, and
+    # every such entry has the root as its weight
+    kind, (row, col) = root_position(spec, root)
+    lead = [(row, c) for c in range(2 * spec.n, spec.size)] if kind == "vec" else [(row, col)]
+    want = set(lead) | {mirror_position(spec, *pos) for pos in lead}
+    got = {(int(r), int(c)) for f in root_space_basis(spec, root) for r, c in np.argwhere(f != 0)}
+    assert got == want
+    for r, c in want:
+        assert tuple(_weight(spec, r) - _weight(spec, c)) == root.coeffs
 
 
 def test_w_example_so_diff():

@@ -148,6 +148,12 @@ def test_tolerance_scaling():
     assert not DEFAULT_TOL.close(np.eye(3), np.eye(3) + 1e-6)
 
 
+@pytest.mark.parametrize("rel", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerance_rejects_bad_rel(rel):
+    with pytest.raises(ValueError):
+        Tolerance(rel)
+
+
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(3)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

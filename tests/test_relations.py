@@ -9,6 +9,7 @@ from rigidkit.errors import (NotOnSphere, OppositeRoots, PairingMismatch,
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json
 from rigidkit.rootsystem import parse_root, roots
+from rigidkit import relations
 from rigidkit.relations import (anti_proportional, commutator_decompose,
                                 run_suite, su2_transporter,
                                 suite_ids, suite_side_condition, trace_pairing,
@@ -115,6 +116,17 @@ def test_run_suite_center_su():
     assert DEFAULT_TOL.close(h, np.diag([1, 1, -1, 1, 1, -1]).astype(complex))
     assert not DEFAULT_TOL.close(h, identity(6))
     assert DEFAULT_TOL.close(h @ h, identity(6))
+
+
+def test_nan_residual_fails_the_suite(monkeypatch):
+    # a scalar residual (trace pairing) and a matrix residual (h words through INV)
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (float("nan"), 1.0))
+    report = run_suite(GroupSpec("su", 5, 3), "trace-pairing", samples=3, seed=1)
+    assert not report.passed and len(report.failures) == 3
+    assert np.isnan(report.max_residual)
+    monkeypatch.setattr(relations, "INV", lambda M: np.full_like(M, np.nan))
+    report = run_suite(SO43, "h-mult-so", samples=2, seed=1)
+    assert not report.passed and len(report.failures) == 2
 
 
 def test_run_suite_side_condition():
