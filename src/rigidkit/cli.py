@@ -165,7 +165,9 @@ def _cmd_verify_all(args) -> int:
             lines.append(f"  {entry['suite']:>14}: skipped ({entry['skipped']})")
         else:
             status = "pass" if entry["pass"] else "FAIL"
-            lines.append(f"  {entry['suite']:>14}: {status}  max residual {entry['max_residual']:.3e}")
+            residual = entry["max_residual"]   # null when non-finite
+            lines.append(f"  {entry['suite']:>14}: {status}  max residual "
+                         + ("non-finite" if residual is None else f"{residual:.3e}"))
     lines.append(f"overall: {'pass' if report['pass'] else 'FAIL'}")
     _emit(args, report, lines)
     return 0 if report["pass"] else 1

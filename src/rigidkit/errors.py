@@ -58,7 +58,11 @@ class OppositeRoots(RigidkitError):
 
 
 class DecompositionResidual(RigidkitError):
-    pass
+    """A commutator decomposition whose certificate residual exceeds the tolerance."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class UnknownSuite(RigidkitError):

@@ -7,15 +7,17 @@ import pytest
 from rigidkit.errors import (NotOnSphere, OppositeRoots, PairingMismatch,
                              SideConditionViolated, UnknownSuite)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
-from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json
+from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
 from rigidkit.rootsystem import parse_root, roots
-from rigidkit import relations
+from rigidkit import generators, relations
+from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose,
                                 run_suite, su2_transporter,
                                 suite_ids, suite_side_condition, trace_pairing,
                                 verify_all, wpair_refactor)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "commutators.json"
+GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
 
 SO43 = GroupSpec("so", 4, 3)
 SU33 = GroupSpec("su", 3, 3)
@@ -124,9 +126,77 @@ def test_nan_residual_fails_the_suite(monkeypatch):
     report = run_suite(GroupSpec("su", 5, 3), "trace-pairing", samples=3, seed=1)
     assert not report.passed and len(report.failures) == 3
     assert np.isnan(report.max_residual)
+    # strict JSON: a non-finite residual is written as null
+    doc = json.loads(json.dumps(report.to_json(), allow_nan=False))
+    assert doc["max_residual"] is None
+    assert all(failure["residual"] is None for failure in doc["failures"])
     monkeypatch.setattr(relations, "INV", lambda M: np.full_like(M, np.nan))
     report = run_suite(SO43, "h-mult-so", samples=2, seed=1)
     assert not report.passed and len(report.failures) == 2
+    json.dumps(report.to_json(), allow_nan=False)
+
+
+def test_nan_residual_in_verify_all_text(monkeypatch, capsys):
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (float("nan"), 1.0))
+    code = cli_main(["verify-all", "--family", "su", "--m", "4", "--n", "3", "--samples", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "trace-pairing: FAIL  max residual non-finite" in out
+
+
+def test_verify_all_matches_golden_reports():
+    # the reports of the seven acceptance specs, compared byte for byte
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    assert len(golden) == 7
+    for key, want in golden.items():
+        family, m, n = key.split(":")
+        got = verify_all(GroupSpec(family, int(m), int(n)), samples=20, seed=42)
+        assert json.dumps(got) == json.dumps(want), key
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a wrong sign in a builder must fail each suite
+
+
+CONTROL_SPECS = [GroupSpec("so", m, 3) for m in (3, 4, 5, 6)] + \
+    [GroupSpec("su", m, 3) for m in (3, 4, 5, 6)]
+
+
+def _negate_opposite_factors(monkeypatch):
+    """x_alpha(p) is built as x_alpha(-p) for every negative root alpha."""
+    build = generators._x_matrix
+
+    def wrong(spec, root, p):
+        if root.coeffs[root.support[0]] < 0:
+            p = param_neg(p)
+        return build(spec, root, p)
+    monkeypatch.setattr(generators, "_x_matrix", wrong)
+    monkeypatch.setattr(relations, "_x_matrix", wrong)
+
+
+def _subtract_in_param_add(monkeypatch):
+    add = relations.param_add
+    monkeypatch.setattr(relations, "param_add",
+                        lambda spec, root, p, q: add(spec, root, p, param_neg(q)))
+
+
+@pytest.mark.parametrize("suite_id,spec", [
+    pytest.param(sid, spec, id=f"{sid}-{spec.family}{spec.m}{spec.n}")
+    for sid in suite_ids() for spec in CONTROL_SPECS if suite_side_condition(spec, sid) is None])
+def test_negative_control(monkeypatch, suite_id, spec):
+    # additivity only compares x elements of one root with each other, where a
+    # uniform sign on x_-alpha is a relabelling; it gets a wrong sum instead
+    if suite_id == "additivity":
+        _subtract_in_param_add(monkeypatch)
+    else:
+        _negate_opposite_factors(monkeypatch)
+    report = run_suite(spec, suite_id, samples=10, seed=5)
+    doc = json.loads(json.dumps(report.to_json(), allow_nan=False))
+    assert doc["pass"] is False and doc["failures"]
+    for failure in doc["failures"]:
+        assert isinstance(failure["check"], str) and failure["check"]
+        assert isinstance(failure["residual"], float) and failure["residual"] > DEFAULT_TOL.rel
+    assert report.max_residual == max(failure["residual"] for failure in doc["failures"])
 
 
 def test_run_suite_side_condition():
