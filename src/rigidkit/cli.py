@@ -235,7 +235,8 @@ def _cmd_trace_pairing(args) -> int:
     spec = GroupSpec("su", args.m, args.n)
     report = run_suite(spec, "trace-pairing", args.samples, args.seed, _tolerance(args))
     full = report.to_json()
-    obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual")}
+    obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual",
+                                      "failures")}
     _emit(args, obj, [f"trace pairing on {spec}: {'pass' if report.passed else 'FAIL'} "
                       f"(max residual {report.max_residual:.3e})"])
     return 0 if report.passed else 1

@@ -16,13 +16,16 @@ Parameter shapes per (family, root kind):
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CertificationError, NotOnSphere, OutOfRange, ShapeMismatch,
+from .errors import (CertificationError, NotOnSphere, OutOfRange, ParseError, ShapeMismatch,
                      UnknownRoot, VariantUnsupported, ZeroParameter)
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, in_group
+from .matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, identity, in_group, json_complex,
+                         json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, mirror_position, parse_label, root_position
 
 ZERO_PARAM_EPS = 1e-12
@@ -88,8 +91,16 @@ def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
     want = expected_shape(spec, root)
     if not isinstance(p, want):
         raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, got {type(p).__name__}")
-    if isinstance(p, (RVec, Heis)) and len(p.a) != spec.tail:
-        raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(p.a)}")
+    if want is Scalar:
+        parts = (p.t,)
+    elif want is Cx:
+        parts = (p.z,)
+    else:
+        if len(p.a) != spec.tail:
+            raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(p.a)}")
+        parts = (p.t, *p.a) if want is Heis else p.a
+    if not all(map(cmath.isfinite, parts)):
+        raise OutOfRange(f"parameter of root {root} must be finite, got {p}")
 
 
 def param_norm(p) -> float:
@@ -128,16 +139,18 @@ def param_to_json(p) -> dict:
 
 
 def param_from_json(obj: dict):
+    """Decode a parameter; ParseError when a value has the wrong type."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"a parameter is a JSON object, got {obj!r}")
     keys = set(obj)
     if keys == {"t"}:
-        return Scalar(float(obj["t"]))
+        return Scalar(json_real(obj["t"]))
     if keys == {"z"}:
-        re, im = obj["z"]
-        return Cx(complex(re, im))
+        return Cx(json_complex(obj["z"]))
     if keys == {"a"}:
-        return RVec(tuple(obj["a"]))
+        return RVec(tuple(json_real(x) for x in json_field(obj, "a", list)))
     if keys == {"t", "a"}:
-        return Heis(float(obj["t"]), tuple(complex(re, im) for re, im in obj["a"]))
+        return Heis(json_real(obj["t"]), tuple(json_complex(x) for x in json_field(obj, "a", list)))
     raise ShapeMismatch(f"unrecognized parameter encoding {obj}")
 
 
@@ -156,25 +169,33 @@ def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     return _x_matrix(spec, root, p)
 
 
+@lru_cache(maxsize=None)
+def _stencil(spec: GroupSpec, root: RootLabel) -> tuple:
+    """root_position and the mirror of its entry, derived once per (spec, root)."""
+    kind, pos = root_position(spec, root)
+    return kind, pos, mirror_position(spec, *pos)
+
+
 def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     M = identity(spec.size)
-    kind, (row, col) = root_position(spec, root)
+    kind, pos, mirror = _stencil(spec, root)
     if kind == "pm":
-        z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
-        M[row, col] += z
-        M[mirror_position(spec, row, col)] -= np.conj(z)
+        z = complex(p.t) if type(p) is Scalar else complex(p.z)
+        M[pos] += z
+        M[mirror] -= z.conjugate()
         return M
     if kind == "long":
-        M[row, col] += 1j * p.t
+        M[pos] += 1j * p.t
         return M
     # vec root: the vector fills row `row` of the tail columns and, mirrored,
     # column `col` of the tail rows; the a0 entry carries the Heisenberg part
+    row, col = pos
     a = np.asarray(p.a, dtype=complex)
-    a0 = heis_a0(p) if isinstance(p, Heis) else complex(-0.5 * float(a.real @ a.real))
+    a0 = heis_a0(p) if type(p) is Heis else complex(-0.5 * float(a.real @ a.real))
     tail = slice(2 * spec.n, None)
     M[row, tail] += a
-    M[tail, col] -= np.conj(a)
-    M[row, col] += a0
+    M[tail, col] -= a.conjugate()
+    M[pos] += a0
     return M
 
 
@@ -338,8 +359,8 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         c[j] = s2 * b * (1j if variant == "imag" else 1.0)
         e = np.zeros(k, dtype=complex)
         e[j - 1] = -s2
-        word = [(pos, Heis(0.0, tuple(c))), (neg, Heis(0.0, tuple(c))), (pos, Heis(0.0, tuple(c))),
-                (pos, Heis(0.0, tuple(e))), (neg, Heis(0.0, tuple(e))), (pos, Heis(0.0, tuple(e)))]
+        pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
+        word = [(pos, pc), (neg, pc), (pos, pc), (pos, pe), (neg, pe), (pos, pe)]
     else:
         va = [0.0] * k
         vb = [0.0] * k
@@ -347,10 +368,9 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         va[j - 1] = s2 * a
         vb[j] = s2 * b
         ve[j - 1] = -s2
-        word = [(pos, RVec(va)), (pos, RVec(vb)),
-                (neg, RVec(va)), (neg, RVec(vb)),
-                (pos, RVec(va)), (pos, RVec(vb)),
-                (pos, RVec(ve)), (neg, RVec(ve)), (pos, RVec(ve))]
+        pa, pb, pe = RVec(va), RVec(vb), RVec(ve)
+        word = [(pos, pa), (pos, pb), (neg, pa), (neg, pb), (pos, pa), (pos, pb),
+                (pos, pe), (neg, pe), (pos, pe)]
     M = identity(spec.size)
     for root, param in word:
         M = M @ _x_matrix(spec, root, param)

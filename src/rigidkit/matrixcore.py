@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotNilpotent, SizeMismatch
+from .errors import NotNilpotent, ParseError, SizeMismatch
 
 FAMILIES = ("so", "su")
 
@@ -80,8 +80,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+@lru_cache(maxsize=None)
+def _eye(size: int) -> np.ndarray:
+    I = np.eye(size, dtype=complex)
+    I.flags.writeable = False
+    return I
+
+
 def identity(size: int) -> np.ndarray:
-    return np.eye(size, dtype=complex)
+    """A fresh, writable complex identity matrix."""
+    return _eye(size).copy()
 
 
 def basis_matrix(size: int, row: int, col: int, value: complex = 1.0) -> np.ndarray:
@@ -193,12 +201,43 @@ def mat_to_json(M: np.ndarray) -> dict:
     return {"size": size, "entries": entries}
 
 
+def _is_json_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_field(obj, key: str, kind):
+    """obj[key] of a decoded JSON object; ParseError when ``obj`` is not an
+    object, the key is missing or its value is not of type ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ParseError(f"missing key {key!r} in {obj!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"key {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def json_real(x) -> float:
+    """A decoded JSON number as a float; ParseError for anything else."""
+    if not _is_json_real(x):
+        raise ParseError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def json_complex(pair) -> complex:
+    """A decoded [re, im] pair as a complex number; ParseError for anything else."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_json_real, pair))):
+        raise ParseError(f"expected [re, im], got {pair!r}")
+    return complex(pair[0], pair[1])
+
+
 def mat_from_json(obj: dict) -> np.ndarray:
-    size = int(obj["size"])
-    entries = obj["entries"]
+    size = json_field(obj, "size", int)
+    entries = json_field(obj, "entries", list)
     if len(entries) != size * size:
         raise SizeMismatch(f"expected {size * size} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = np.array([json_complex(pair) for pair in entries], dtype=complex)
     return flat.reshape(size, size)
 
 

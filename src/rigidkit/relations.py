@@ -5,10 +5,12 @@ tables, h multiplicativity, central elements, rotation words, conjugation
 lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
-named pairs of sides, always assembled independently as matrices; the one
-runner, run_suite, draws each sample's seeded substream, compares the sides
-and produces a machine-readable report.  Structure constants are never
-hard-coded but extracted numerically and certified.
+named pairs of sides, always assembled independently as matrices; it builds
+each distinct word of the sample (an h word, a rotation word, a symbol) once
+and shares it between the sides, and nothing is kept from one sample to the
+next.  The one runner, run_suite, draws each sample's seeded substream,
+compares the sides and produces a machine-readable report.  Structure
+constants are never hard-coded but extracted numerically and certified.
 """
 
 from __future__ import annotations
@@ -560,9 +562,26 @@ def _su2_block_word(spec, i, V):
 # measured itself
 
 
-def _h_word(spec, root, t):
-    """h_root(t) = w(t) w(1)^-1, evaluated as the six-factor defining word."""
-    return _chain(spec, root, t) @ INV(_chain(spec, root, 1.0))
+def _memo(build):
+    """``build`` evaluated once per distinct argument tuple.
+
+    A memo lives inside one sampler call, so each word of a sample is built
+    once and nothing is carried over to the next sample or run.
+    """
+    built = {}
+
+    def get(*key):
+        if key not in built:
+            built[key] = build(*key)
+        return built[key]
+    return get
+
+
+def _h_words(spec, root):
+    """t -> h_root(t) = w(t) w(1)^-1, the six-factor defining word, for one
+    sample: w(1)^-1 is inverted once and each distinct t is built once."""
+    w1_inv = INV(_chain(spec, root, 1.0))
+    return _memo(lambda t: _chain(spec, root, t) @ w1_inv)
 
 
 @lru_cache(maxsize=None)
@@ -607,14 +626,14 @@ def _commutator(spec, rng, i, tol):
 def _h_mult(spec, rng, i, tol):
     root = parse_label("L1-L2", spec.n)
     t, s = _inv_scalar(spec, rng), _inv_scalar(spec, rng)
-    yield ("h(t) h(s) = h(ts)", _h_word(spec, root, t) @ _h_word(spec, root, s),
-           _h_word(spec, root, t * s), {"t": t, "s": s})
+    h = _h_words(spec, root)
+    yield "h(t) h(s) = h(ts)", h(t) @ h(s), h(t * s), {"t": t, "s": s}
 
 
 def _center_so(spec, rng, i, tol):
     diff, plus = parse_label("L1-L2", spec.n), parse_label("L1+L2", spec.n)
     yield ("h_{L1-L2}(-1) h_{L1+L2}(-1) = id",
-           _h_word(spec, diff, -1.0) @ _h_word(spec, plus, -1.0), identity(spec.size), {})
+           _h_words(spec, diff)(-1.0) @ _h_words(spec, plus)(-1.0), identity(spec.size), {})
 
 
 def _center_su(spec, rng, i, tol):
@@ -661,17 +680,17 @@ def _conj_labels(n):
                  (f"L{n}", f"L{n - 1}", f"L{n - 1}-L{n}", f"L{n - 1}+L{n}"))
 
 
-def _vector_conj(spec, a, z, Wd, Wd_inv, H, inputs):
+def _vector_conj(spec, a, z, Wd, Wd_inv, H, Hp, inputs):
     """The six lemmas conjugating w_Ln(a) against the L_{n-1} -+ L_n chains at z.
 
-    Wd = w_{Ln-1-Ln}(z), Wd_inv its inverse and H = Wd w_{Ln-1-Ln}(1)^-1.
+    Wd = w_{Ln-1-Ln}(z), Wd_inv its inverse, H = h_{Ln-1-Ln}(z) and Hp the
+    sample's h words of L_{n-1}+L_n.
     """
     vec, vec1, diff, plus = _conj_labels(spec.n)
     w = partial(_chain, spec)
     na2 = float(np.vdot(a, a).real)
     Wv = w(vec, a)
     Wv_inv = INV(Wv)
-    Hp = lambda u: w(plus, u) @ INV(w(plus, 1.0))
     yield ("w_Ln(a) w_Ln-1-Ln(z) w_Ln(a)^-1 = w_Ln-1+Ln(-|a|^2 z/2)",
            Wv @ Wd @ Wv_inv, w(plus, -0.5 * na2 * z), inputs)
     yield ("w_Ln(a) w_Ln-1+Ln(z) w_Ln(a)^-1 = w_Ln-1-Ln(-2z/|a|^2)",
@@ -697,13 +716,14 @@ def _reflection_word(spec, rng, cx):
 
 
 def _conj_so(spec, rng, i, tol):
-    vec, _, diff, _ = _conj_labels(spec.n)
+    vec, _, diff, plus = _conj_labels(spec.n)
     w = partial(_chain, spec)
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     t = _inv_real(rng)
     inputs = {"a": a, "t": t}
     Wd = w(diff, t)
-    yield from _vector_conj(spec, a, t, Wd, INV(Wd), Wd @ INV(w(diff, 1.0)), inputs)
+    yield from _vector_conj(spec, a, t, Wd, INV(Wd), _h_words(spec, diff)(t),
+                            _h_words(spec, plus), inputs)
     # reflection-group conjugation (le:14 analog at matrix level)
     _, W, B = _reflection_word(spec, rng, cx=False)
     av = _unit_vec(rng, spec.tail)
@@ -722,8 +742,8 @@ def _conj_su(spec, rng, i, tol):
     Wd = w(diff, z)
     Wd_inv = INV(Wd)
     W2 = w(long, t)
-    H = Wd @ INV(w(diff, 1.0))
-    Hp = lambda u: w(plus, u) @ INV(w(plus, 1.0))
+    H = _h_words(spec, diff)(z)
+    Hp = _h_words(spec, plus)
     inputs = {"z": z, "t": t}
     # long-root items exist for every signature
     yield ("w_Ln-1-Ln(z) w_2Ln(t) w_Ln-1-Ln(z)^-1 = w_2Ln-1(t|z|^2)",
@@ -740,7 +760,7 @@ def _conj_su(spec, rng, i, tol):
     while np.linalg.norm(a) < 0.25:
         a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     inputs = {"z": z, "t": t, "a": a}
-    yield from _vector_conj(spec, a, z, Wd, Wd_inv, H, inputs)
+    yield from _vector_conj(spec, a, z, Wd, Wd_inv, H, Hp, inputs)
     # reflection-group conjugation of chains and unipotents
     count, W, B = _reflection_word(spec, rng, cx=True)
     av = _unit_vec(rng, k, cx=True)
@@ -778,13 +798,10 @@ def _conj_su(spec, rng, i, tol):
            Wd @ Wta @ Wd_inv, w(vec1, z * a, t=tgen * abs(z) ** 2), inputs)
 
 
-def _symbol_word(spec, root, s, t):
-    """{s, t} assembled from h words; the identity matrix if the symbol dies."""
-    return _h_word(spec, root, s) @ _h_word(spec, root, t) @ INV(_h_word(spec, root, s * t))
-
-
 def _symbol_scalar(spec, rng, i, tol):
-    sym = partial(_symbol_word, spec, parse_label("L1-L2", spec.n))
+    h = _h_words(spec, parse_label("L1-L2", spec.n))
+    # {s, t} from h words; the identity matrix if the symbol dies
+    sym = _memo(lambda s, t: h(s) @ h(t) @ INV(h(s * t)))
     I = identity(spec.size)
     t1, t2, t3 = (_inv_scalar(spec, rng) for _ in range(3))
     inputs = {"t1": t1, "t2": t2, "t3": t3}
@@ -802,10 +819,8 @@ def _symbol_circle(spec, rng, i, tol):
     j, angles, variant = _plane_draw(spec, rng, i, 3)
     ab, cd, ef = ((np.cos(t), np.sin(t)) for t in angles)
     I = identity(spec.size)
-
-    def sym(x, y):
-        return (h_rot(spec, j, _circle_mul(x, y), variant)
-                @ INV(h_rot(spec, j, x, variant)) @ INV(h_rot(spec, j, y, variant)))
+    rot = _memo(lambda x: h_rot(spec, j, x, variant))
+    sym = _memo(lambda x, y: rot(_circle_mul(x, y)) @ INV(rot(x)) @ INV(rot(y)))
     inputs = {"j": j, "ab": ab, "cd": cd, "variant": variant}
     yield "{ab, cd} = id", sym(ab, cd), I, inputs
     yield ("{ab, cd ef} = {ab, cd} {ab, ef}", sym(ab, _circle_mul(cd, ef)),

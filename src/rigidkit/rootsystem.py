@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,11 +30,12 @@ class RootLabel:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    @property
+    # computed once per label: the frozen dataclass keeps an instance __dict__
+    @cached_property
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
 
-    @property
+    @cached_property
     def kind(self) -> str:
         """One of "pm" (±L_i±L_j), "vec" (±L_i), "long" (±2L_i)."""
         sup = self.support
@@ -46,8 +47,12 @@ class RootLabel:
             return "long"
         raise UnknownRoot(f"coefficient vector {self.coeffs} is not a root shape")
 
-    def __neg__(self) -> "RootLabel":
+    @cached_property
+    def _negated(self) -> "RootLabel":
         return RootLabel(tuple(-c for c in self.coeffs))
+
+    def __neg__(self) -> "RootLabel":
+        return self._negated
 
     def __str__(self):
         # Canonical form: positive term first for differences, ascending

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInGroup, OutOfRange, ShapeMismatch, SizeMismatch
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity
+from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, json_field
 from .generators import (Heis, Scalar, Cx, check_param, is_zero_param,
                          param_add, param_from_json, param_neg, param_to_json,
                          rot_from_angle, x_elem)
@@ -100,12 +100,16 @@ def word_to_json(word) -> list:
 
 
 def word_from_json(obj, spec: GroupSpec) -> list:
+    """Decode a word; ParseError when a key is missing or has the wrong type."""
+    if not isinstance(obj, list):
+        raise ParseError(f"a word is a JSON list of letters, got {obj!r}")
     out = []
     for item in obj:
-        root = parse_root(item["root"], spec)
-        param = param_from_json(item["param"])
+        root = parse_root(json_field(item, "root", str), spec)
+        param = param_from_json(json_field(item, "param", dict))
         check_param(spec, root, param)
-        out.append(Letter(root, param, int(item.get("exp", 1))))
+        exponent = json_field(item, "exp", int) if "exp" in item else 1
+        out.append(Letter(root, param, exponent))
     return out
 
 

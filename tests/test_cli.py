@@ -132,6 +132,66 @@ def test_trace_pairing_command(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_trace_pairing_json_names_failures(capsys, monkeypatch):
+    from rigidkit import relations
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (1.0, 2.0))
+    code, out, _ = run(capsys, "trace-pairing", "--m", "5", "--n", "3", "--samples", "3",
+                       "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and len(doc["failures"]) == 3
+    assert [f["sample"] for f in doc["failures"]] == [0, 1, 2]
+    for failure in doc["failures"]:
+        assert failure["check"].startswith("4|<a,b>|^2")
+        assert set(failure["inputs"]) == {"a", "b"}
+        assert failure["residual"] == pytest.approx(1.0 / 3.0)
+    code, out, _ = run(capsys, "trace-pairing", "--m", "5", "--n", "3", "--samples", "3")
+    assert code == 1 and out.startswith("trace pairing on SU(5,3): FAIL")
+
+
+def _exit_2_one_line(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("param", ['{"t": 1e999}', '{"t": -1e999}', '{"t": NaN}'])
+def test_non_finite_parameter_exit_2(capsys, param):
+    err = _exit_2_one_line(capsys, "chain", "--family", "so", "--m", "4", "--n", "3",
+                           "--root", "L1-L2", "--param", param)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"entries": []}, {"size": 2}, {"size": "2", "entries": []}, {"size": 1, "entries": [[1]]},
+    {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2]])
+def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(doc))
+    _exit_2_one_line(capsys, "normalform", "--family", "so", "--k", "1", "--matrix", str(path))
+
+
+@pytest.mark.parametrize("doc", [
+    [{"root": "L1-L2"}], [{"param": {"t": 1.0}}], [{"root": 5, "param": {"t": 1.0}}],
+    [{"root": "L1-L2", "param": [1.0]}], [{"root": "L1-L2", "param": {"t": "x"}}],
+    [{"root": "L1-L2", "param": {"t": 1.0}, "exp": [1]}], [{"root": "L3", "param": {"a": [[1]]}}],
+    [{"root": "L1-L2", "param": {"z": [1.0]}}], ["L1-L2"], {"root": "L1-L2"}])
+def test_malformed_word_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(doc))
+    _exit_2_one_line(capsys, "reduce", "--family", "so", "--m", "4", "--n", "3",
+                     "--word", str(path))
+
+
+@pytest.mark.parametrize("param", ['{"z": "ab"}', '{"t": [1]}', '[1.0]', '{"a": [[1, 2]]}'])
+def test_malformed_parameter_exit_2(capsys, param):
+    _exit_2_one_line(capsys, "chain", "--family", "so", "--m", "4", "--n", "3",
+                     "--root", "L1-L2", "--param", param)
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "reduce", "--word", "/nonexistent/file.json")
     assert code == 2

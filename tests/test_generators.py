@@ -94,6 +94,22 @@ def test_x_shape_mismatch():
         x_elem(SO53, parse_root("L3", SO53), RVec((1.0,)))  # wrong length
 
 
+@pytest.mark.parametrize("spec, root, p", [
+    (SO43, "L1-L2", Scalar(float("inf"))),
+    (SO43, "L1-L2", Scalar(float("nan"))),
+    (SU43, "L1-L2", Cx(complex(1.0, float("inf")))),
+    (SU43, "2L3", Scalar(float("-inf"))),
+    (SO53, "L3", RVec((1.0, float("nan")))),
+    (SU43, "L3", Heis(float("inf"), (1.0 + 0j,))),
+    (SU43, "L3", Heis(0.5, (complex(float("nan"), 0.0),))),
+], ids=["scalar-inf", "scalar-nan", "cx-inf", "long-inf", "rvec-nan", "heis-t-inf", "heis-a-nan"])
+def test_non_finite_parameter_rejected(spec, root, p):
+    label = parse_root(root, spec)
+    for build in (x_elem, w_matrix, w_elem, w_closed_form):
+        with pytest.raises(OutOfRange, match="finite"):
+            build(spec, label, p)
+
+
 def test_additivity_and_inverse():
     rng = np.random.default_rng(12)
     for spec in ALL_SPECS:

@@ -199,6 +199,73 @@ def test_negative_control(monkeypatch, suite_id, spec):
     assert report.max_residual == max(failure["residual"] for failure in doc["failures"])
 
 
+# the suites whose samplers share words within a sample
+SHARED_WORD_SUITES = [(sid, GroupSpec(family, 5, 3)) for sid, family in
+                      [("h-mult-so", "so"), ("h-mult-su", "su"), ("center-so", "so"),
+                       ("symbol-R", "so"), ("symbol-C", "su"), ("symbol-S1", "so"),
+                       ("symbol-S1", "su"), ("conj-so", "so"), ("conj-su", "su")]]
+
+
+@pytest.mark.parametrize("suite_id,spec", [
+    pytest.param(sid, spec, id=f"{sid}-{spec.family}") for sid, spec in SHARED_WORD_SUITES])
+def test_word_memos_are_per_sample(suite_id, spec):
+    # a memo that outlived its sample would carry the wrong words into the
+    # patched run (which would pass) or back out of it (the third run would fail)
+    first = json.dumps(run_suite(spec, suite_id, samples=4, seed=9).to_json())
+    with pytest.MonkeyPatch.context() as patch:
+        _negate_opposite_factors(patch)
+        assert not run_suite(spec, suite_id, samples=4, seed=9).passed
+    assert json.dumps(run_suite(spec, suite_id, samples=4, seed=9).to_json()) == first
+
+
+def _recorded_calls(monkeypatch, name):
+    """Wrap relations.<name>; the returned list collects the arguments of each call."""
+    calls = []
+    build = getattr(relations, name)
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(relations, name, counted)
+    return calls
+
+
+def _sample_calls(suite_id, spec, i, *recorded):
+    for calls in recorded:
+        calls.clear()
+    sampler = relations.SUITES[suite_id]["sampler"]
+    for _ in sampler(spec, relations.rng_for(7, suite_id, i), i, DEFAULT_TOL):
+        pass
+
+
+def test_symbol_samplers_build_each_word_once(monkeypatch):
+    spec = GroupSpec("so", 5, 3)
+    inv = _recorded_calls(monkeypatch, "INV")
+    rot = _recorded_calls(monkeypatch, "h_rot")
+    chain = _recorded_calls(monkeypatch, "_chain")
+    for i in range(12):
+        _sample_calls("symbol-S1", spec, i, inv, rot, chain)
+        # the symbols {ab,cd}, {ab,cd ef}, {ab,ef}, {ab cd,ef}, {cd,ef}, {cd,ab} and
+        # {cd,-cd}, each h(xy) h(x)^-1 h(y)^-1: two inverses per distinct symbol
+        assert len(inv) == 7 * 2
+        # the words ab, cd, ef, cd ef, ab cd (= cd ab), ab ef, ab (cd ef), (ab cd) ef,
+        # -cd and cd (-cd): 10, or 9 where the two triple products round alike
+        words = [args[2] for args in rot]
+        assert len(words) in (9, 10) and len(set(words)) == len(words)
+        assert not chain
+    for i in range(12):
+        _sample_calls("symbol-R", spec, i, inv, rot, chain)
+        # w(1)^-1 once, then one inverse h(st)^-1 per distinct symbol: {t1,t2},
+        # {t1,t2 t3}, {t1,t3}, {t1 t2,t3}, {t2,t3}, {t2,t1}, {t,1-t} and {t,-t}
+        assert len(inv) == 1 + 8
+        # w(1) and the h words t1, t2, t3, t2 t3, t1 (t2 t3), t1 t2, t1 t3, (t1 t2) t3,
+        # t, 1-t, -t, t(1-t), t(-t) with t = t1 unless t1 was redrawn near 1; the
+        # triple products may round alike
+        words = [(args[1], args[2]) for args in chain]
+        assert 1 + 11 <= len(words) <= 1 + 13 and len(set(words)) == len(words)
+        assert not rot
+
+
 def test_run_suite_side_condition():
     with pytest.raises(SideConditionViolated):
         run_suite(GroupSpec("so", 3, 3), "rot-so", samples=10, seed=7)
