@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import RigidkitError
-from .matrixcore import GroupSpec, Tolerance, load_matrix
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, load_matrix
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
 from .relations import run_suite, suite_ids, verify_all
@@ -23,11 +23,11 @@ from .lyapunov import CycleSpec, exponent_table, splitting, stable_cycle_feasibl
 
 
 def _tolerance(args) -> Tolerance:
-    """--tol, else the RIGIDKIT_TOL environment variable, else 1e-9."""
+    """--tol, else the RIGIDKIT_TOL environment variable, else DEFAULT_TOL."""
     if args.tol is not None:
         return Tolerance(args.tol)
     env = os.environ.get("RIGIDKIT_TOL")
-    return Tolerance(float(env) if env else 1e-9)
+    return Tolerance(float(env)) if env else DEFAULT_TOL
 
 
 def _sample_count(text: str) -> int:
@@ -36,10 +36,10 @@ def _sample_count(text: str) -> int:
     return int(text)
 
 
-def _add_spec_args(p, required=False):
-    p.add_argument("--family", choices=("so", "su"), default=None if required else "so")
-    p.add_argument("--m", type=int, default=None if required else 4)
-    p.add_argument("--n", type=int, default=None if required else 3)
+def _add_spec_args(p):
+    p.add_argument("--family", choices=("so", "su"), default="so")
+    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--n", type=int, default=3)
 
 
 def _add_run_args(p):

@@ -259,13 +259,17 @@ def chain_params(spec: GroupSpec, root: RootLabel, p):
     return p, y, x1
 
 
-def w_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
-    """The chain element as a matrix, without certification."""
+def _chain_factors(spec: GroupSpec, root: RootLabel, p) -> tuple:
+    """The three one-root factors (x0, y0, x1) of the chain element, as matrices."""
     check_param(spec, root, p)
     x0, y0, x1 = chain_params(spec, root, p)
-    return (_x_matrix(spec, root, x0)
-            @ _x_matrix(spec, -root, y0)
-            @ _x_matrix(spec, root, x1))
+    return _x_matrix(spec, root, x0), _x_matrix(spec, -root, y0), _x_matrix(spec, root, x1)
+
+
+def w_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
+    """The chain element as a matrix, without certification."""
+    X0, Y0, X1 = _chain_factors(spec, root, p)
+    return X0 @ Y0 @ X1
 
 
 def reflection(root: RootLabel, t) -> np.ndarray:
@@ -296,17 +300,11 @@ class ChainCertificate:
 
 def w_elem(spec: GroupSpec, root: RootLabel, p, tol: Tolerance = DEFAULT_TOL) -> ChainCertificate:
     """Chain element with its factorization and reflection certificate."""
-    check_param(spec, root, p)
-    x0, y0, x1 = chain_params(spec, root, p)
-    X0 = _x_matrix(spec, root, x0)
-    Y0 = _x_matrix(spec, -root, y0)
-    X1 = _x_matrix(spec, root, x1)
+    X0, Y0, X1 = _chain_factors(spec, root, p)
     w = X0 @ Y0 @ X1
     w_inv = np.linalg.inv(w)
     ok = in_group(w, spec, tol)
-    for k in range(spec.n):
-        e = np.zeros(spec.n)
-        e[k] = 1.0
+    for e in np.eye(spec.n):
         lhs = w @ embed(spec, e) @ w_inv
         rhs = embed(spec, reflection(root, e))
         ok = ok and tol.close(lhs, rhs)
@@ -318,9 +316,7 @@ def h_elem(spec: GroupSpec, root: RootLabel, p1, p2, tol: Tolerance = DEFAULT_TO
     if is_zero_param(p1) or is_zero_param(p2):
         raise ZeroParameter("h element needs two nonzero parameters")
     h = w_matrix(spec, root, p1) @ np.linalg.inv(w_matrix(spec, root, p2))
-    for k in range(spec.n):
-        e = np.zeros(spec.n)
-        e[k] = 1.0
+    for e in np.eye(spec.n):
         D = embed(spec, e)
         if not tol.close(h @ D, D @ h):
             raise CertificationError(f"h element of {root} does not centralize the Cartan")
@@ -418,27 +414,14 @@ def _swap_perm(size: int, swaps) -> tuple:
     return tuple(perm)
 
 
-def dual_param(spec: GroupSpec, root: RootLabel, p):
-    """Parameter q with w_{-root}(p) = w_{root}(q); from the chain symmetry."""
-    if isinstance(p, Scalar):
-        return Scalar(1.0 / p.t) if root.kind == "long" else Scalar(-1.0 / p.t)
-    if isinstance(p, Cx):
-        return Cx(-1.0 / p.z)
-    if isinstance(p, RVec):
-        a = np.asarray(p.a)
-        return RVec(tuple(2.0 * a / float(a @ a)))
-    a = np.asarray(p.a)
-    a0 = heis_a0(p)
-    return Heis(p.t / abs(a0) ** 2, tuple(-a / a0))
-
-
 def w_closed_form(spec: GroupSpec, root: RootLabel, p) -> PermDiag:
     """The permutation-diagonal form of the chain element."""
     check_param(spec, root, p)
     if is_zero_param(p):
         raise ZeroParameter(f"chain element of {root} needs a nonzero parameter")
     if max(root.coeffs) <= 0:
-        return w_closed_form(spec, -root, dual_param(spec, root, p))
+        # w_root(p) = w_{-root}(y0), with y0 the middle factor of the chain w_root(p)
+        return w_closed_form(spec, -root, chain_params(spec, root, p)[1])
     n, size = spec.n, spec.size
     kind, (row, col) = root_position(spec, root)
     diag = [1.0 + 0j] * size

@@ -6,9 +6,10 @@ lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
 named pairs of sides, always assembled independently as matrices; it builds
-each distinct word of the sample (an h word, a rotation word, a symbol) once
-and shares it between the sides, and nothing is kept from one sample to the
-next.  The one runner, run_suite, draws each sample's seeded substream,
+each distinct word of the sample once (chains, their inverses and h words
+from one per-sample word table; rotation words and symbols from per-sample
+memos) and shares it between the sides, and nothing is kept from one sample
+to the next.  The one runner, run_suite, draws each sample's seeded substream,
 compares the sides and produces a machine-readable report.  Structure
 constants are never hard-coded but extracted numerically and certified.
 """
@@ -218,18 +219,13 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
             if any(v != 0 for v in c) and is_root(spec, q) and q not in seen:
                 seen[q] = (i + j, i)
     order = sorted(seen, key=lambda q: seen[q])
-    if not order:
-        resid = tol.residual(C, identity(spec.size))
-        if resid > tol.rel:
-            raise DecompositionResidual(
-                f"[{r}, {p}] should be trivial, residual {resid:.3e}", resid)
-        return CommutatorTable(r, p, (), resid)
-    X = nilpotent_log(C, tol)
     terms = []
-    for q in order:
-        double = RootLabel(tuple(2 * c for c in q.coeffs))
-        par = _extract_term(spec, q, X, double in seen)
-        terms.append((q, par))
+    if order:
+        X = nilpotent_log(C, tol)
+        for q in order:
+            double = RootLabel(tuple(2 * c for c in q.coeffs))
+            terms.append((q, _extract_term(spec, q, X, double in seen)))
+    # with no term the product P is the identity: the commutator must be trivial
     P = identity(spec.size)
     for q, par in terms:
         P = P @ _x_matrix(spec, q, par)
@@ -255,7 +251,7 @@ def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for v in (a, b):
-        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > tol.rel:
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
     C = _reflection_pair(spec, 1, a, b)[2 * spec.n:, 2 * spec.n:]
     lhs = 4.0 * abs(np.vdot(b, a)) ** 2 + spec.tail - 4.0
@@ -275,7 +271,7 @@ def su2_transporter(a_pair, b_pair, c_pair, d_pair, tol: Tolerance = DEFAULT_TOL
     d = np.asarray(d_pair, dtype=complex)
     pair_ab = complex(np.vdot(b, a))
     pair_cd = complex(np.vdot(d, c))
-    if abs(pair_ab - pair_cd) > 1e-8:
+    if abs(pair_ab - pair_cd) > tol.rel:
         raise PairingMismatch(f"pairings differ: {pair_ab} vs {pair_cd}")
     hc = np.array([[np.conj(c[0]), np.conj(c[1])], [-c[1], c[0]]])  # hc c = (1,0)
     dp = hc @ d
@@ -405,7 +401,7 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
     if not (1 <= j <= spec.tail - 2):
         raise SideConditionViolated(f"need 1 <= j <= m-n-2 = {spec.tail - 2}")
     u = np.asarray(lead, dtype=float)
-    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > 1e-9:
+    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > tol.rel:
         raise NotOnSphere("orthogonal lead must be a unit triple")
     x = float(trail_angle)
     if direction == "to_imag":
@@ -442,7 +438,7 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
         else np.array([np.cos(yp), np.sin(yp), 0.0])
     R = _reflection_pair(spec, j, d, wp)
     resid = tol.residual(L, R)
-    if resid > 1e-8:
+    if resid > tol.rel:
         raise NoSolution(f"orthogonal pair refactoring failed certification: {resid:.3e}")
     return tuple(float(t) for t in d), yp
 
@@ -487,7 +483,7 @@ def _wpair_su(spec, j, lead, trail_angle, direction, tol):
     L = _reflection_pair(spec, j, lead_vec, trail_vec)
     R = _reflection_pair(spec, j, new_lead_vec, out_vec)
     resid = tol.residual(L, R)
-    if resid > 1e-8:
+    if resid > tol.rel:
         raise NoSolution(f"unitary pair refactoring failed certification: {resid:.3e}")
     return (float(c), float(d)), float(yp)
 
@@ -577,11 +573,41 @@ def _memo(build):
     return get
 
 
-def _h_words(spec, root):
-    """t -> h_root(t) = w(t) w(1)^-1, the six-factor defining word, for one
-    sample: w(1)^-1 is inverted once and each distinct t is built once."""
-    w1_inv = INV(_chain(spec, root, 1.0))
-    return _memo(lambda t: _chain(spec, root, t) @ w1_inv)
+class _Words:
+    """The chains, chain inverses and h words of one sample, each built on first use.
+
+    A table lives inside one sampler call, so nothing is carried over to the
+    next sample or run.  Entries are keyed by the root's coefficients (a
+    RootLabel hashes through Python code) and a vector value by its entries.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.built = {}
+
+    def w(self, root, value, t=0.0):
+        """The chain w_root at the raw parameter (value, t), built by _chain."""
+        key = ("w", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
+        M = self.built.get(key)
+        if M is None:
+            M = self.built[key] = _chain(self.spec, root, value, t)
+        return M
+
+    def winv(self, root, value, t=0.0):
+        """The inverse of w(root, value, t)."""
+        key = ("winv", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
+        M = self.built.get(key)
+        if M is None:
+            M = self.built[key] = INV(self.w(root, value, t))
+        return M
+
+    def h(self, root, t):
+        """h_root(t) = w(t) w(1)^-1, the six-factor defining word."""
+        key = ("h", root.coeffs, t)
+        M = self.built.get(key)
+        if M is None:
+            M = self.built[key] = self.w(root, t) @ self.winv(root, 1.0)
+        return M
 
 
 @lru_cache(maxsize=None)
@@ -626,22 +652,23 @@ def _commutator(spec, rng, i, tol):
 def _h_mult(spec, rng, i, tol):
     root = parse_label("L1-L2", spec.n)
     t, s = _inv_scalar(spec, rng), _inv_scalar(spec, rng)
-    h = _h_words(spec, root)
+    h = partial(_Words(spec).h, root)
     yield "h(t) h(s) = h(ts)", h(t) @ h(s), h(t * s), {"t": t, "s": s}
 
 
 def _center_so(spec, rng, i, tol):
     diff, plus = parse_label("L1-L2", spec.n), parse_label("L1+L2", spec.n)
-    yield ("h_{L1-L2}(-1) h_{L1+L2}(-1) = id",
-           _h_words(spec, diff)(-1.0) @ _h_words(spec, plus)(-1.0), identity(spec.size), {})
+    h = _Words(spec).h
+    yield ("h_{L1-L2}(-1) h_{L1+L2}(-1) = id", h(diff, -1.0) @ h(plus, -1.0),
+           identity(spec.size), {})
 
 
 def _center_su(spec, rng, i, tol):
     n = spec.n
     if spec.tail > 0:
-        w = _chain(spec, parse_label(f"L{n}", n), (0.0,) * spec.tail, t=-1.0)
+        w = _Words(spec).w(parse_label(f"L{n}", n), (0.0,) * spec.tail, -1.0)
     else:
-        w = _chain(spec, parse_label(f"2L{n}", n), -1.0)
+        w = _Words(spec).w(parse_label(f"2L{n}", n), -1.0)
     h = w @ w
     expected = np.ones(spec.size, dtype=complex)
     expected[n - 1] = expected[2 * n - 1] = -1.0
@@ -680,17 +707,14 @@ def _conj_labels(n):
                  (f"L{n}", f"L{n - 1}", f"L{n - 1}-L{n}", f"L{n - 1}+L{n}"))
 
 
-def _vector_conj(spec, a, z, Wd, Wd_inv, H, Hp, inputs):
-    """The six lemmas conjugating w_Ln(a) against the L_{n-1} -+ L_n chains at z.
-
-    Wd = w_{Ln-1-Ln}(z), Wd_inv its inverse, H = h_{Ln-1-Ln}(z) and Hp the
-    sample's h words of L_{n-1}+L_n.
-    """
+def _vector_conj(spec, words, a, z, inputs):
+    """The six lemmas conjugating w_Ln(a) against the L_{n-1} -+ L_n chains at z,
+    built from the sample's word table."""
     vec, vec1, diff, plus = _conj_labels(spec.n)
-    w = partial(_chain, spec)
+    w = words.w
     na2 = float(np.vdot(a, a).real)
-    Wv = w(vec, a)
-    Wv_inv = INV(Wv)
+    Wd, Wd_inv, H = w(diff, z), words.winv(diff, z), words.h(diff, z)
+    Wv, Wv_inv = w(vec, a), words.winv(vec, a)
     yield ("w_Ln(a) w_Ln-1-Ln(z) w_Ln(a)^-1 = w_Ln-1+Ln(-|a|^2 z/2)",
            Wv @ Wd @ Wv_inv, w(plus, -0.5 * na2 * z), inputs)
     yield ("w_Ln(a) w_Ln-1+Ln(z) w_Ln(a)^-1 = w_Ln-1-Ln(-2z/|a|^2)",
@@ -702,30 +726,30 @@ def _vector_conj(spec, a, z, Wd, Wd_inv, H, Hp, inputs):
     yield ("h_Ln-1-Ln(z) w_Ln(a) h_Ln-1-Ln(z)^-1 = w_Ln(a/z)",
            H @ Wv @ INV(H), w(vec, a / z), inputs)
     yield ("w_Ln(a) h_Ln-1-Ln(z) w_Ln(a)^-1 = h_Ln-1+Ln(-|a|^2 z/2) h_Ln-1+Ln(-|a|^2/2)^-1",
-           Wv @ H @ Wv_inv, Hp(-0.5 * na2 * z) @ INV(Hp(-0.5 * na2)), inputs)
+           Wv @ H @ Wv_inv, words.h(plus, -0.5 * na2 * z) @ INV(words.h(plus, -0.5 * na2)),
+           inputs)
 
 
-def _reflection_word(spec, rng, cx):
+def _reflection_word(spec, words, rng, cx):
     """w_Ln(sqrt2 u_1) ... w_Ln(sqrt2 u_c) for c in 1..3 random unit vectors u."""
     vec = parse_label(f"L{spec.n}", spec.n)
     count = int(rng.integers(1, 4))
     W = identity(spec.size)
     for _ in range(count):
-        W = W @ _chain(spec, vec, np.sqrt(2.0) * _unit_vec(rng, spec.tail, cx))
+        W = W @ words.w(vec, np.sqrt(2.0) * _unit_vec(rng, spec.tail, cx))
     return count, W, W[2 * spec.n:, 2 * spec.n:]
 
 
 def _conj_so(spec, rng, i, tol):
-    vec, _, diff, plus = _conj_labels(spec.n)
-    w = partial(_chain, spec)
+    vec = _conj_labels(spec.n)[0]
+    words = _Words(spec)
+    w = words.w
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     t = _inv_real(rng)
     inputs = {"a": a, "t": t}
-    Wd = w(diff, t)
-    yield from _vector_conj(spec, a, t, Wd, INV(Wd), _h_words(spec, diff)(t),
-                            _h_words(spec, plus), inputs)
+    yield from _vector_conj(spec, words, a, t, inputs)
     # reflection-group conjugation (le:14 analog at matrix level)
-    _, W, B = _reflection_word(spec, rng, cx=False)
+    _, W, B = _reflection_word(spec, words, rng, cx=False)
     av = _unit_vec(rng, spec.tail)
     yield ("W w_Ln(sqrt2 u) W^-1 = w_Ln(sqrt2 B u)", W @ w(vec, np.sqrt(2.0) * av) @ INV(W),
            w(vec, np.sqrt(2.0) * (B.real @ av)), inputs)
@@ -736,33 +760,31 @@ def _conj_su(spec, rng, i, tol):
     vec, vec1, diff, plus = _conj_labels(n)
     long, long1 = parse_label(f"2L{n}", n), parse_label(f"2L{n - 1}", n)
     neg, neg1 = -vec, -vec1
-    w = partial(_chain, spec)
+    words = _Words(spec)
+    w, winv = words.w, words.winv
     z = _inv_cx(rng)
     t = _inv_real(rng)
-    Wd = w(diff, z)
-    Wd_inv = INV(Wd)
-    W2 = w(long, t)
-    H = _h_words(spec, diff)(z)
-    Hp = _h_words(spec, plus)
+    Wd, Wd_inv, H = w(diff, z), winv(diff, z), words.h(diff, z)
+    W2, W2_inv = w(long, t), winv(long, t)
     inputs = {"z": z, "t": t}
     # long-root items exist for every signature
     yield ("w_Ln-1-Ln(z) w_2Ln(t) w_Ln-1-Ln(z)^-1 = w_2Ln-1(t|z|^2)",
            Wd @ W2 @ Wd_inv, w(long1, t * abs(z) ** 2), inputs)
     yield ("w_2Ln(t) w_Ln-1-Ln(z) w_2Ln(t)^-1 = w_Ln-1+Ln(-itz)",
-           W2 @ Wd @ INV(W2), w(plus, -t * z * 1j), inputs)
+           W2 @ Wd @ W2_inv, w(plus, -t * z * 1j), inputs)
     yield ("h_Ln-1-Ln(z) w_2Ln(t) h_Ln-1-Ln(z)^-1 = w_2Ln(t/|z|^2)",
            H @ W2 @ INV(H), w(long, t / abs(z) ** 2), inputs)
     yield ("w_2Ln(t) h_Ln-1-Ln(z) w_2Ln(t)^-1 = h_Ln-1+Ln(-itz) h_Ln-1+Ln(-it)^-1",
-           W2 @ H @ INV(W2), Hp(-t * z * 1j) @ INV(Hp(-t * 1j)), inputs)
+           W2 @ H @ W2_inv, words.h(plus, -t * z * 1j) @ INV(words.h(plus, -t * 1j)), inputs)
     if k == 0:
         return
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     while np.linalg.norm(a) < 0.25:
         a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     inputs = {"z": z, "t": t, "a": a}
-    yield from _vector_conj(spec, a, z, Wd, Wd_inv, H, Hp, inputs)
+    yield from _vector_conj(spec, words, a, z, inputs)
     # reflection-group conjugation of chains and unipotents
-    count, W, B = _reflection_word(spec, rng, cx=True)
+    count, W, B = _reflection_word(spec, words, rng, cx=True)
     av = _unit_vec(rng, k, cx=True)
     sign = 1.0 if count % 2 == 0 else -1.0
     yield ("W w_Ln(sqrt2 u) W^-1 = w_Ln(+-sqrt2 conj(B) u)",
@@ -780,26 +802,26 @@ def _conj_su(spec, rng, i, tol):
     # general-parameter chains
     tgen = _inv_real(rng)
     a0 = complex(-0.5 * float(np.vdot(a, a).real), tgen)
-    Wta = w(vec, a, t=tgen)
+    Wta, Wta_inv = w(vec, a, tgen), winv(vec, a, tgen)
     Bta = Wta[2 * n:, 2 * n:]
     t1 = _inv_real(rng)
     b = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     yield ("w_Ln(t, a) w_Ln(t1, b) w_Ln(t, a)^-1 = w_-Ln(t1/|a0|^2, conj(B/a0) b)",
-           Wta @ w(vec, b, t=t1) @ INV(Wta), w(neg, np.conj(Bta / a0) @ b, t=t1 / abs(a0) ** 2),
+           Wta @ w(vec, b, t1) @ Wta_inv, w(neg, np.conj(Bta / a0) @ b, t1 / abs(a0) ** 2),
            inputs)
     yield ("w_Ln(t, a) w_Ln-1-Ln(z) w_Ln(t, a)^-1 = w_Ln-1+Ln(z conj(a0))",
-           Wta @ Wd @ INV(Wta), w(plus, z * np.conj(a0)), inputs)
+           Wta @ Wd @ Wta_inv, w(plus, z * np.conj(a0)), inputs)
     yield ("w_Ln(t, a) w_Ln-1+Ln(z) w_Ln(t, a)^-1 = w_Ln-1-Ln(z/a0)",
-           Wta @ w(plus, z) @ INV(Wta), w(diff, z / a0), inputs)
-    Wp = w(plus, z)
+           Wta @ w(plus, z) @ Wta_inv, w(diff, z / a0), inputs)
     yield ("w_Ln-1+Ln(z) w_Ln(t, a) w_Ln-1+Ln(z)^-1 = w_-Ln-1(t/|z|^2, conj(1/z) a)",
-           Wp @ Wta @ INV(Wp), w(neg1, np.conj(1.0 / z) * a, t=tgen / abs(z) ** 2), inputs)
+           w(plus, z) @ Wta @ winv(plus, z), w(neg1, np.conj(1.0 / z) * a, tgen / abs(z) ** 2),
+           inputs)
     yield ("w_Ln-1-Ln(z) w_Ln(t, a) w_Ln-1-Ln(z)^-1 = w_Ln-1(t|z|^2, za)",
-           Wd @ Wta @ Wd_inv, w(vec1, z * a, t=tgen * abs(z) ** 2), inputs)
+           Wd @ Wta @ Wd_inv, w(vec1, z * a, tgen * abs(z) ** 2), inputs)
 
 
 def _symbol_scalar(spec, rng, i, tol):
-    h = _h_words(spec, parse_label("L1-L2", spec.n))
+    h = partial(_Words(spec).h, parse_label("L1-L2", spec.n))
     # {s, t} from h words; the identity matrix if the symbol dies
     sym = _memo(lambda s, t: h(s) @ h(t) @ INV(h(s * t)))
     I = identity(spec.size)

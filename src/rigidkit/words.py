@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, json_field
-from .generators import (Heis, Scalar, Cx, check_param, is_zero_param,
-                         param_add, param_from_json, param_neg, param_to_json,
-                         rot_from_angle, x_elem)
+from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
+                         param_neg, param_to_json, rot_from_angle, x_elem)
 from .rootsystem import RootLabel, parse_root
 
 
@@ -42,16 +41,6 @@ def eval_word(spec: GroupSpec, word) -> np.ndarray:
     return M
 
 
-def _params_equal(p, q) -> bool:
-    if type(p) is not type(q):
-        return False
-    if isinstance(p, Scalar):
-        return p.t == q.t
-    if isinstance(p, Cx):
-        return p.z == q.z
-    return p == q
-
-
 def free_reduce(spec: GroupSpec, word) -> list:
     """Drop zero letters, cancel adjacent inverse pairs, merge additively.
 
@@ -72,7 +61,7 @@ def free_reduce(spec: GroupSpec, word) -> list:
             if out:
                 prev = out[-1]
                 if (prev.root == letter.root and prev.exponent == -letter.exponent
-                        and _params_equal(prev.param, letter.param)):
+                        and prev.param == letter.param):
                     out.pop()
                     changed = True
                     continue
@@ -178,11 +167,6 @@ def su2_euler(V: np.ndarray) -> tuple:
 def _rr(psi: float) -> np.ndarray:
     c, s = np.cos(psi), np.sin(psi)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _ri(psi: float) -> np.ndarray:
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def _plane_embed(k: int, i: int, blk: np.ndarray) -> np.ndarray:

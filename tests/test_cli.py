@@ -5,9 +5,9 @@ import pytest
 
 from rigidkit.cli import main
 from rigidkit.matrixcore import save_matrix
-from rigidkit.words import save_word, Letter
+from rigidkit.words import Letter, Staircase, reconstruct, save_word
 from rigidkit.generators import Scalar
-from rigidkit.matrixcore import GroupSpec
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec
 from rigidkit.rootsystem import parse_root
 
 
@@ -113,6 +113,26 @@ def test_normalform_command(tmp_path, capsys):
     assert obj["rows"] == [[pytest.approx(theta)]]
 
 
+def test_normalform_command_unitary(tmp_path, capsys):
+    # a Haar-random SU(3) block: QR of a complex Gaussian, phases and determinant fixed
+    rng = np.random.default_rng(31)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    B = Q * (np.diag(R) / abs(np.diag(R)))
+    B = B / np.linalg.det(B) ** (1.0 / 3.0)
+    path = tmp_path / "block.json"
+    save_matrix(str(path), B)
+    code, out, _ = run(capsys, "normalform", "--family", "su", "--k", "3",
+                       "--matrix", str(path), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["family"], obj["k"], [len(row) for row in obj["rows"]]) == ("su", 3, [2, 1])
+    for row in obj["rows"]:
+        for triple in row:
+            assert len(triple) == 3 and all(isinstance(x, float) for x in triple)
+    stair = Staircase("su", 3, tuple(tuple(tuple(triple) for triple in row) for row in obj["rows"]))
+    assert DEFAULT_TOL.close(reconstruct(GroupSpec("su", 6, 3), stair), B)
+
+
 def test_reduce_command(tmp_path, capsys):
     spec = GroupSpec("so", 4, 3)
     r = parse_root("L1-L2", spec)
@@ -198,12 +218,18 @@ def test_missing_file_exit_2(capsys):
 
 
 def test_determinism_across_processes():
+    import os
+    import pathlib
     import subprocess
     import sys
+    # the child imports rigidkit from this checkout's src, whatever pytest's own path
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     cmd = [sys.executable, "-m", "rigidkit.cli", "verify", "--suite", "commutator",
            "--family", "su", "--m", "4", "--n", "3", "--samples", "40", "--json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 

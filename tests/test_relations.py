@@ -1,12 +1,13 @@
+import itertools
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from rigidkit.errors import (NotOnSphere, OppositeRoots, PairingMismatch,
-                             SideConditionViolated, UnknownSuite)
-from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
+from rigidkit.errors import (DecompositionResidual, NoSolution, NotOnSphere, OppositeRoots,
+                             PairingMismatch, SideConditionViolated, UnknownSuite)
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
 from rigidkit.rootsystem import parse_root, roots
 from rigidkit import generators, relations
@@ -30,6 +31,16 @@ def test_commutator_empty_case():
                                  parse_root("L3", SO43), RVec((1.2,)))
     assert table.terms == ()
     assert table.residual <= 1e-12
+
+
+def test_empty_commutator_table_can_fail(monkeypatch):
+    # with the term search blinded the table is empty, yet [x_L1-L2, x_L2-L3] is
+    # x_L1-L3 of a nonzero parameter: the certificate must reject the empty table
+    monkeypatch.setattr(relations, "is_root", lambda spec, q: False)
+    with pytest.raises(DecompositionResidual) as caught:
+        commutator_decompose(SO43, parse_root("L1-L2", SO43), Scalar(0.8),
+                             parse_root("L2-L3", SO43), Scalar(-1.1))
+    assert caught.value.residual > DEFAULT_TOL.rel
 
 
 def test_commutator_single_term_structure_constant():
@@ -266,6 +277,25 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
         assert not rot
 
 
+# the samplers that build chains, on a spec where each builds all of its chains
+CHAIN_SUITES = [("conj-so", GroupSpec("so", 5, 3)), ("conj-su", GroupSpec("su", 5, 3)),
+                ("h-mult-so", GroupSpec("so", 5, 3)), ("h-mult-su", GroupSpec("su", 5, 3)),
+                ("center-so", GroupSpec("so", 5, 3)), ("symbol-R", GroupSpec("so", 5, 3)),
+                ("symbol-C", GroupSpec("su", 5, 3))]
+
+
+@pytest.mark.parametrize("suite_id,spec", [
+    pytest.param(sid, spec, id=sid) for sid, spec in CHAIN_SUITES])
+def test_no_chain_built_twice_in_a_sample(monkeypatch, suite_id, spec):
+    chain = _recorded_calls(monkeypatch, "_chain")
+    for i in range(12):
+        _sample_calls(suite_id, spec, i, chain)
+        assert chain
+        # a call is (spec, root, value) or (spec, root, value, t)
+        built = [(args[1], tuple(np.ravel(args[2])), (args[3:] or (0.0,))[0]) for args in chain]
+        assert len(set(built)) == len(built), (suite_id, i)
+
+
 def test_run_suite_side_condition():
     with pytest.raises(SideConditionViolated):
         run_suite(GroupSpec("so", 3, 3), "rot-so", samples=10, seed=7)
@@ -381,6 +411,16 @@ def test_su2_transporter_pairing_mismatch():
         su2_transporter((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
+def test_su2_transporter_applies_its_tolerance():
+    # <a,b> and <c,d> differ by 5e-9: above the default 1e-9, below 1e-7
+    a, b = (1.0 + 0j, 0j), (0.6 + 0j, 0.8 + 0j)
+    d = (0.6 + 5e-9 + 0j, 0.8 + 0j)
+    with pytest.raises(PairingMismatch):
+        su2_transporter(a, b, a, d)
+    g, h = su2_transporter(a, b, a, d, Tolerance(1e-7))
+    assert abs(abs(g) - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # pair refactoring
 
@@ -414,6 +454,29 @@ def test_wpair_su_random_certified():
         a, b, x = rng.uniform(0, 2 * np.pi, size=3)
         lead, trail = wpair_refactor(spec, 1, (a, b), x, "to_imag")
         lead2, trail2 = wpair_refactor(spec, 1, (a, b), x, "to_real")
+
+
+def _perturb_refactored_lead(monkeypatch):
+    """The certification's second pair, the refactored one, gets its lead scaled."""
+    pair = relations._reflection_pair
+    calls = itertools.count(1)
+
+    def perturbed(spec, j, x, y):
+        if next(calls) % 2 == 0:
+            x = np.asarray(x) * (1.0 + 1e-6)
+        return pair(spec, j, x, y)
+    monkeypatch.setattr(relations, "_reflection_pair", perturbed)
+
+
+@pytest.mark.parametrize("spec,lead", [(GroupSpec("so", 6, 3), (0.6, 0.0, 0.8)),
+                                       (GroupSpec("su", 5, 3), (0.4, 1.3))], ids=["so", "su"])
+@pytest.mark.parametrize("direction", ["to_imag", "to_real"])
+def test_wpair_refactor_certificate_can_fail(monkeypatch, spec, lead, direction):
+    _perturb_refactored_lead(monkeypatch)
+    with pytest.raises(NoSolution, match="failed certification"):
+        wpair_refactor(spec, 1, lead, 0.7, direction)
+    # the same residual is accepted under a tolerance it meets
+    wpair_refactor(spec, 1, lead, 0.7, direction, Tolerance(1e-3))
 
 
 def test_wpair_su_side_condition():
