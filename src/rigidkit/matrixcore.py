@@ -79,6 +79,11 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# the relative error a few float64 operations leave in a computed quantity, such
+# as the norm of a normalised vector: a validation of such a quantity is floored
+# here, since a tighter tolerance would reject it on rounding alone
+ROUNDING = 1e-12
+
 
 @lru_cache(maxsize=None)
 def _eye(size: int) -> np.ndarray:

@@ -6,12 +6,12 @@ lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
 named pairs of sides, always assembled independently as matrices; it builds
-each distinct word of the sample once (chains, their inverses and h words
-from one per-sample word table; rotation words and symbols from per-sample
-memos) and shares it between the sides, and nothing is kept from one sample
-to the next.  The one runner, run_suite, draws each sample's seeded substream,
-compares the sides and produces a machine-readable report.  Structure
-constants are never hard-coded but extracted numerically and certified.
+each distinct word of the sample once (chains, their inverses, h words and
+their inverses, rotation words and symbols) in one per-sample word table and
+shares it between the sides, and nothing is kept from one sample to the next.
+The one runner, run_suite, draws each sample's seeded substream, compares the
+sides and produces a machine-readable report.  Structure constants are never
+hard-coded but extracted numerically and certified.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (DecompositionResidual, NoSolution, NotOnSphere, OppositeRoots,
                      PairingMismatch, SideConditionViolated, UnknownSuite)
-from .matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, identity, nilpotent_log)
+from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
+                         nilpotent_log)
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, rot_from_angle,
                          w_matrix, x_elem)
@@ -251,7 +252,7 @@ def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for v in (a, b):
-        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > tol.rel:
+        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > max(tol.rel, ROUNDING):
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
     C = _reflection_pair(spec, 1, a, b)[2 * spec.n:, 2 * spec.n:]
     lhs = 4.0 * abs(np.vdot(b, a)) ** 2 + spec.tail - 4.0
@@ -293,14 +294,13 @@ def _refl_block(x: np.ndarray) -> np.ndarray:
     return np.eye(len(x), dtype=complex) - 2.0 * np.outer(np.conj(x), x) / float(np.vdot(x, x).real)
 
 
+# the i-rotation shape of a unitary lead is D g1 for the fixed diagonal D = diag(1, i)
+_D = np.array([1.0, 1j])
+
+
 def _g1(c: float, d: float) -> np.ndarray:
     return np.array([np.cos(c) * np.cos(d) - 1j * np.sin(c) * np.sin(d),
                      np.cos(c) * np.sin(d) - 1j * np.sin(c) * np.cos(d)])
-
-
-def _g2(c: float, d: float) -> np.ndarray:
-    return np.array([np.cos(c) * np.cos(d) - 1j * np.sin(c) * np.sin(d),
-                     np.sin(c) * np.cos(d) + 1j * np.cos(c) * np.sin(d)])
 
 
 def _eig_minus_one_line(N: np.ndarray) -> np.ndarray:
@@ -332,32 +332,6 @@ def _line_to_g1(x: np.ndarray):
         res = abs(v[0].imag) + abs(v[1].imag)
         if best is None or res < best[0]:
             best = (res, c, float(np.arctan2(v[1].real, v[0].real)))
-    return best[1], best[2]
-
-
-def _line_to_g2(x: np.ndarray):
-    x1, x2 = x
-    w = x1 * x1 + x2 * x2
-    cands = []
-    if abs(w) < 1e-12:
-        z0 = np.conj(x1) / abs(x1) if abs(x1) > 1e-7 else np.conj(1j * x2) / abs(x2)
-        cands.append((z0, 0.0))
-    else:
-        for sgn in (1.0, -1.0):
-            z = np.sqrt(sgn * np.conj(w) / abs(w))
-            for zz in (z, -z):
-                zx1, zx2 = zz * x1, zz * x2
-                if abs(zx1.imag) + abs(zx2.imag) > 1e-14:
-                    cands.append((zz, float(np.arctan2(-zx1.imag, zx2.imag))))
-                else:
-                    cands.append((zz, float(np.arctan2(zx2.real, zx1.real))))
-    best = None
-    Rr = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
-    for zz, c in cands:
-        v = Rr(-c) @ (zz * np.asarray(x))
-        res = abs(v[0].imag) + abs(v[1].real)
-        if best is None or res < best[0]:
-            best = (res, c, float(np.arctan2(v[1].imag, v[0].real)))
     return best[1], best[2]
 
 
@@ -401,7 +375,7 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
     if not (1 <= j <= spec.tail - 2):
         raise SideConditionViolated(f"need 1 <= j <= m-n-2 = {spec.tail - 2}")
     u = np.asarray(lead, dtype=float)
-    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > tol.rel:
+    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > max(tol.rel, ROUNDING):
         raise NotOnSphere("orthogonal lead must be a unit triple")
     x = float(trail_angle)
     if direction == "to_imag":
@@ -415,7 +389,6 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
         # collinear inputs: both products are the identity
         w = np.array([0.0, -1.0, 0.0]) if direction == "to_imag" else np.array([-1.0, 0.0, 0.0])
         d = -w
-        yp = float(np.arctan2(w[2], w[1])) if direction == "to_imag" else float(np.arctan2(w[1], w[0]))
     else:
         e1 = u.copy()
         e2 = v - (v @ e1) * e1
@@ -432,7 +405,7 @@ def _wpair_so(spec, j, lead, trail_angle, direction, tol):
         ang_w = np.arctan2(w @ e2, w @ e1)
         theta = ang_u - ang_v
         d = np.cos(ang_w + theta) * e1 + np.sin(ang_w + theta) * e2
-        yp = float(np.arctan2(w[2], w[1])) if direction == "to_imag" else float(np.arctan2(w[1], w[0]))
+    yp = float(np.arctan2(w[2], w[1])) if direction == "to_imag" else float(np.arctan2(w[1], w[0]))
     L = _reflection_pair(spec, j, u, v)
     wp = np.array([0.0, np.cos(yp), np.sin(yp)]) if direction == "to_imag" \
         else np.array([np.cos(yp), np.sin(yp), 0.0])
@@ -451,7 +424,7 @@ def _wpair_su(spec, j, lead, trail_angle, direction, tol):
     aa, bb = (float(lead[0]), float(lead[1]))
     x = float(trail_angle)
     if direction == "to_imag":
-        lead_vec = _g2(aa, bb)
+        lead_vec = _D * _g1(aa, bb)
         trail_vec = np.array([np.cos(x), np.sin(x)], dtype=complex)
     else:
         lead_vec = _g1(aa, bb)
@@ -478,8 +451,8 @@ def _wpair_su(spec, j, lead, trail_angle, direction, tol):
         c, d = _line_to_g1(line)
         new_lead_vec = _g1(c, d)
     else:
-        c, d = _line_to_g2(line)
-        new_lead_vec = _g2(c, d)
+        c, d = _line_to_g1(np.conj(_D) * line)
+        new_lead_vec = _D * _g1(c, d)
     L = _reflection_pair(spec, j, lead_vec, trail_vec)
     R = _reflection_pair(spec, j, new_lead_vec, out_vec)
     resid = tol.residual(L, R)
@@ -492,48 +465,43 @@ def _wpair_su(spec, j, lead, trail_angle, direction, tol):
 # Euler-angle exchange helpers for the braid suite
 
 
+# near gimbal lock the generic formulas read the outer factors off entries of size
+# s = |sin| of the middle angle and lose digits like eps/s (SU: eps/s^2); below
+# this s the lock branches split them off M instead, which holds for any s
+_LOCK = 1e-3
+
+
 def _so3_euler_bab(M):
     """Angles with M = B(b1) A(a2) B(b3); A rotates (1,2), B rotates (2,3)."""
     ca = float(np.clip(M[0, 0].real, -1.0, 1.0))
     sa = np.sqrt(max(0.0, 1.0 - ca * ca))
-    if sa < 1e-12:
-        if ca > 0:
-            return float(np.arctan2(M[2, 1].real, M[1, 1].real)), 0.0, 0.0
-        return float(np.arctan2(-M[2, 1].real, -M[1, 1].real)), np.pi, 0.0
-    a2 = float(np.arctan2(sa, ca))
     b3 = float(np.arctan2(M[0, 2].real, -M[0, 1].real))
+    if sa < _LOCK:
+        # B(b1) e3 is the third column of M B(b3)^-1
+        col = np.sin(b3) * M[:, 1].real + np.cos(b3) * M[:, 2].real
+        a2 = float(np.arctan2(np.hypot(M[0, 1].real, M[0, 2].real), ca))
+        return float(np.arctan2(-col[1], col[2])), a2, b3
+    a2 = float(np.arctan2(sa, ca))
     b1 = float(np.arctan2(M[2, 0].real, M[1, 0].real))
     return b1, a2, b3
-
-
-def _so3_euler_aba(M):
-    """Angles with M = A(a1) B(b2) A(a3)."""
-    cb = float(np.clip(M[2, 2].real, -1.0, 1.0))
-    sb = np.sqrt(max(0.0, 1.0 - cb * cb))
-    if sb < 1e-12:
-        if cb > 0:
-            return float(np.arctan2(M[1, 0].real, M[0, 0].real)), 0.0, 0.0
-        return float(np.arctan2(M[1, 0].real, -M[0, 0].real)), np.pi, 0.0
-    b2 = float(np.arctan2(sb, cb))
-    a3 = float(np.arctan2(M[2, 0].real, M[2, 1].real))
-    a1 = float(np.arctan2(M[0, 2].real, -M[1, 2].real))
-    return a1, b2, a3
 
 
 def _su2_completion(M):
     """Blocks (U, V, W) with M = U(23) V(12) W(23) for M in the product set."""
     al = M[0, 0]
     ssq = 1.0 - abs(al) ** 2
-    if ssq < 1e-20:
-        V = np.array([[al, 0], [0, np.conj(al)]])
-        U = M[1:, 1:] @ np.array([[al, 0], [0, 1.0]])
-        return U, V, np.eye(2, dtype=complex)
-    s = np.sqrt(ssq)
-    ucol = -np.array([M[1, 0], M[2, 0]]) / s
-    U = np.array([[ucol[0], -np.conj(ucol[1])], [ucol[1], np.conj(ucol[0])]])
-    wrow = np.array([M[0, 1], M[0, 2]]) / s
+    lock = ssq < _LOCK ** 2
+    s = float(np.linalg.norm(M[0, 1:])) if lock else np.sqrt(ssq)
+    wrow = M[0, 1:] / s if s > 0 else np.array([1.0, 0.0])
     W = np.array([[wrow[0], wrow[1]], [-np.conj(wrow[1]), np.conj(wrow[0])]])
     V = np.array([[al, s], [-s, np.conj(al)]])
+    if lock:
+        # (0, U e2) is the last column of M diag(1, W)^-1
+        u = M[1:, 1:] @ np.array([-wrow[1], wrow[0]])
+        U = np.array([[np.conj(u[1]), u[0]], [-np.conj(u[0]), u[1]]])
+    else:
+        ucol = -np.array([M[1, 0], M[2, 0]]) / s
+        U = np.array([[ucol[0], -np.conj(ucol[1])], [ucol[1], np.conj(ucol[0])]])
     return U, V, W
 
 
@@ -558,23 +526,9 @@ def _su2_block_word(spec, i, V):
 # measured itself
 
 
-def _memo(build):
-    """``build`` evaluated once per distinct argument tuple.
-
-    A memo lives inside one sampler call, so each word of a sample is built
-    once and nothing is carried over to the next sample or run.
-    """
-    built = {}
-
-    def get(*key):
-        if key not in built:
-            built[key] = build(*key)
-        return built[key]
-    return get
-
-
 class _Words:
-    """The chains, chain inverses and h words of one sample, each built on first use.
+    """The words of one sample (chains, their inverses, h words and whatever a
+    sampler builds from them), each built on first use.
 
     A table lives inside one sampler call, so nothing is carried over to the
     next sample or run.  Entries are keyed by the root's coefficients (a
@@ -585,29 +539,30 @@ class _Words:
         self.spec = spec
         self.built = {}
 
+    def get(self, key, build, *args):
+        """The entry under ``key``, built as build(*args) on first use."""
+        M = self.built.get(key)
+        if M is None:
+            M = self.built[key] = build(*args)
+        return M
+
     def w(self, root, value, t=0.0):
         """The chain w_root at the raw parameter (value, t), built by _chain."""
         key = ("w", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
-        M = self.built.get(key)
-        if M is None:
-            M = self.built[key] = _chain(self.spec, root, value, t)
-        return M
+        return self.get(key, _chain, self.spec, root, value, t)
 
     def winv(self, root, value, t=0.0):
         """The inverse of w(root, value, t)."""
         key = ("winv", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
-        M = self.built.get(key)
-        if M is None:
-            M = self.built[key] = INV(self.w(root, value, t))
-        return M
+        return self.get(key, lambda: INV(self.w(root, value, t)))
 
     def h(self, root, t):
         """h_root(t) = w(t) w(1)^-1, the six-factor defining word."""
-        key = ("h", root.coeffs, t)
-        M = self.built.get(key)
-        if M is None:
-            M = self.built[key] = self.w(root, t) @ self.winv(root, 1.0)
-        return M
+        return self.get(("h", root.coeffs, t), lambda: self.w(root, t) @ self.winv(root, 1.0))
+
+    def hinv(self, root, t):
+        """The inverse of h(root, t)."""
+        return self.get(("hinv", root.coeffs, t), lambda: INV(self.h(root, t)))
 
 
 @lru_cache(maxsize=None)
@@ -713,7 +668,7 @@ def _vector_conj(spec, words, a, z, inputs):
     vec, vec1, diff, plus = _conj_labels(spec.n)
     w = words.w
     na2 = float(np.vdot(a, a).real)
-    Wd, Wd_inv, H = w(diff, z), words.winv(diff, z), words.h(diff, z)
+    Wd, Wd_inv, H, H_inv = w(diff, z), words.winv(diff, z), words.h(diff, z), words.hinv(diff, z)
     Wv, Wv_inv = w(vec, a), words.winv(vec, a)
     yield ("w_Ln(a) w_Ln-1-Ln(z) w_Ln(a)^-1 = w_Ln-1+Ln(-|a|^2 z/2)",
            Wv @ Wd @ Wv_inv, w(plus, -0.5 * na2 * z), inputs)
@@ -724,10 +679,9 @@ def _vector_conj(spec, words, a, z, inputs):
     yield ("w_Ln-1-Ln(z) w_Ln-1(a) w_Ln-1-Ln(z)^-1 = w_Ln(-a/z)",
            Wd @ w(vec1, a) @ Wd_inv, w(vec, -a / z), inputs)
     yield ("h_Ln-1-Ln(z) w_Ln(a) h_Ln-1-Ln(z)^-1 = w_Ln(a/z)",
-           H @ Wv @ INV(H), w(vec, a / z), inputs)
+           H @ Wv @ H_inv, w(vec, a / z), inputs)
     yield ("w_Ln(a) h_Ln-1-Ln(z) w_Ln(a)^-1 = h_Ln-1+Ln(-|a|^2 z/2) h_Ln-1+Ln(-|a|^2/2)^-1",
-           Wv @ H @ Wv_inv, words.h(plus, -0.5 * na2 * z) @ INV(words.h(plus, -0.5 * na2)),
-           inputs)
+           Wv @ H @ Wv_inv, words.h(plus, -0.5 * na2 * z) @ words.hinv(plus, -0.5 * na2), inputs)
 
 
 def _reflection_word(spec, words, rng, cx):
@@ -764,7 +718,7 @@ def _conj_su(spec, rng, i, tol):
     w, winv = words.w, words.winv
     z = _inv_cx(rng)
     t = _inv_real(rng)
-    Wd, Wd_inv, H = w(diff, z), winv(diff, z), words.h(diff, z)
+    Wd, Wd_inv, H, H_inv = w(diff, z), winv(diff, z), words.h(diff, z), words.hinv(diff, z)
     W2, W2_inv = w(long, t), winv(long, t)
     inputs = {"z": z, "t": t}
     # long-root items exist for every signature
@@ -773,9 +727,9 @@ def _conj_su(spec, rng, i, tol):
     yield ("w_2Ln(t) w_Ln-1-Ln(z) w_2Ln(t)^-1 = w_Ln-1+Ln(-itz)",
            W2 @ Wd @ W2_inv, w(plus, -t * z * 1j), inputs)
     yield ("h_Ln-1-Ln(z) w_2Ln(t) h_Ln-1-Ln(z)^-1 = w_2Ln(t/|z|^2)",
-           H @ W2 @ INV(H), w(long, t / abs(z) ** 2), inputs)
+           H @ W2 @ H_inv, w(long, t / abs(z) ** 2), inputs)
     yield ("w_2Ln(t) h_Ln-1-Ln(z) w_2Ln(t)^-1 = h_Ln-1+Ln(-itz) h_Ln-1+Ln(-it)^-1",
-           W2 @ H @ W2_inv, words.h(plus, -t * z * 1j) @ INV(words.h(plus, -t * 1j)), inputs)
+           W2 @ H @ W2_inv, words.h(plus, -t * z * 1j) @ words.hinv(plus, -t * 1j), inputs)
     if k == 0:
         return
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
@@ -785,14 +739,15 @@ def _conj_su(spec, rng, i, tol):
     yield from _vector_conj(spec, words, a, z, inputs)
     # reflection-group conjugation of chains and unipotents
     count, W, B = _reflection_word(spec, words, rng, cx=True)
+    W_inv = INV(W)
     av = _unit_vec(rng, k, cx=True)
     sign = 1.0 if count % 2 == 0 else -1.0
     yield ("W w_Ln(sqrt2 u) W^-1 = w_Ln(+-sqrt2 conj(B) u)",
-           W @ w(vec, np.sqrt(2.0) * av) @ INV(W),
+           W @ w(vec, np.sqrt(2.0) * av) @ W_inv,
            w(vec, np.sqrt(2.0) * sign * (np.conj(B) @ av)), inputs)
     tb = _ureal(rng)
     bvec = rng.uniform(-2, 2, size=k) + 1j * rng.uniform(-2, 2, size=k)
-    Lx = W @ x_elem(spec, vec, Heis(tb, tuple(bvec))) @ INV(W)
+    Lx = W @ x_elem(spec, vec, Heis(tb, tuple(bvec))) @ W_inv
     if count % 2 == 0:
         Rx = x_elem(spec, vec, Heis(tb, tuple(np.conj(B) @ bvec)))
     else:
@@ -821,9 +776,10 @@ def _conj_su(spec, rng, i, tol):
 
 
 def _symbol_scalar(spec, rng, i, tol):
-    h = partial(_Words(spec).h, parse_label("L1-L2", spec.n))
+    words = _Words(spec)
+    h = partial(words.h, parse_label("L1-L2", spec.n))
     # {s, t} from h words; the identity matrix if the symbol dies
-    sym = _memo(lambda s, t: h(s) @ h(t) @ INV(h(s * t)))
+    sym = lambda s, t: words.get(("sym", s, t), lambda: h(s) @ h(t) @ INV(h(s * t)))
     I = identity(spec.size)
     t1, t2, t3 = (_inv_scalar(spec, rng) for _ in range(3))
     inputs = {"t1": t1, "t2": t2, "t3": t3}
@@ -841,8 +797,10 @@ def _symbol_circle(spec, rng, i, tol):
     j, angles, variant = _plane_draw(spec, rng, i, 3)
     ab, cd, ef = ((np.cos(t), np.sin(t)) for t in angles)
     I = identity(spec.size)
-    rot = _memo(lambda x: h_rot(spec, j, x, variant))
-    sym = _memo(lambda x, y: rot(_circle_mul(x, y)) @ INV(rot(x)) @ INV(rot(y)))
+    words = _Words(spec)
+    rot = lambda x: words.get(("rot", x), h_rot, spec, j, x, variant)
+    sym = lambda x, y: words.get(("sym", x, y),
+                                 lambda: rot(_circle_mul(x, y)) @ INV(rot(x)) @ INV(rot(y)))
     inputs = {"j": j, "ab": ab, "cd": cd, "variant": variant}
     yield "{ab, cd} = id", sym(ab, cd), I, inputs
     yield ("{ab, cd ef} = {ab, cd} {ab, ef}", sym(ab, _circle_mul(cd, ef)),
@@ -861,34 +819,24 @@ def _flip2(U):
 
 def _braid(spec, rng, i, tol):
     j = int(rng.integers(1, spec.tail - 1))
-    lo = 2 * spec.n + j - 1
-    window = lambda L: L[lo:lo + 3, lo:lo + 3]
+    # P swaps the window's outer planes (P A(t) P = B(t) for SO), so the reverse
+    # exchange is the forward one of the flipped window, its factors mapped back
     if spec.unitary:
-        V1, V2, V3 = _rand_su2(rng), _rand_su2(rng), _rand_su2(rng)
+        draws = (_rand_su2(rng), _rand_su2(rng), _rand_su2(rng))
         inputs = {"j": j, "dir": i % 2}
-        block = partial(_su2_block_word, spec)
-        if i % 2 == 0:
-            L = block(j, V1) @ block(j + 1, V2) @ block(j, V3)
-            U, V, W = _su2_completion(window(L))
-            R = block(j + 1, U) @ block(j, V) @ block(j + 1, W)
-        else:
-            # the reverse exchange, via the coordinate flip of the window
-            L = block(j + 1, V1) @ block(j, V2) @ block(j + 1, V3)
-            flip = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-            U, V, W = _su2_completion(flip @ window(L) @ flip)
-            R = block(j, _flip2(U)) @ block(j + 1, _flip2(V)) @ block(j, _flip2(W))
+        block, solve, back = partial(_su2_block_word, spec), _su2_completion, _flip2
+        P = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
     else:
-        t1, t2, t3 = (_angle(rng) for _ in range(3))
-        inputs = {"j": j, "angles": [t1, t2, t3], "dir": i % 2}
-        rot = partial(rot_from_angle, spec)
-        if i % 2 == 0:
-            L = rot(j, t1) @ rot(j + 1, t2) @ rot(j, t3)
-            b1, a2, b3 = _so3_euler_bab(window(L))
-            R = rot(j + 1, b1) @ rot(j, a2) @ rot(j + 1, b3)
-        else:
-            L = rot(j + 1, t1) @ rot(j, t2) @ rot(j + 1, t3)
-            a1, b2, a3 = _so3_euler_aba(window(L))
-            R = rot(j, a1) @ rot(j + 1, b2) @ rot(j, a3)
+        draws = tuple(_angle(rng) for _ in range(3))
+        inputs = {"j": j, "angles": list(draws), "dir": i % 2}
+        block, solve, back = partial(rot_from_angle, spec), _so3_euler_bab, lambda t: t
+        P = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+    p, q = (j, j + 1) if i % 2 == 0 else (j + 1, j)
+    L = block(p, draws[0]) @ block(q, draws[1]) @ block(p, draws[2])
+    lo = 2 * spec.n + j - 1
+    window = L[lo:lo + 3, lo:lo + 3]
+    f1, f2, f3 = solve(window) if i % 2 == 0 else map(back, solve(P @ window @ P))
+    R = block(q, f1) @ block(p, f2) @ block(q, f3)
     name = "H^j H^j+1 H^j = H^j+1 H^j H^j+1" if i % 2 == 0 else "H^j+1 H^j H^j+1 = H^j H^j+1 H^j"
     yield name, L, R, inputs
 

@@ -156,7 +156,7 @@ def su2_euler(V: np.ndarray) -> tuple:
     if s2 < 1e-12:
         return _canon_angle(float(np.arctan2(-y, x))), _canon_angle(p2), 0.0
     if c2 < 1e-12:
-        return _canon_angle(float(np.arctan2(-w, -z))), _canon_angle(p2), 0.0
+        return _canon_angle(float(np.arctan2(w, -z))), _canon_angle(p2), 0.0
     sum13 = np.arctan2(-y, x)
     diff31 = np.arctan2(-w, -z)
     p1 = (sum13 - diff31) / 2.0

@@ -133,6 +133,18 @@ def test_normalform_command_unitary(tmp_path, capsys):
     assert DEFAULT_TOL.close(reconstruct(GroupSpec("su", 6, 3), stair), B)
 
 
+def test_normalform_command_unitary_zero_real_part(tmp_path, capsys):
+    B = np.diag([1j, -1j])
+    path = tmp_path / "block.json"
+    save_matrix(str(path), B)
+    code, out, _ = run(capsys, "normalform", "--family", "su", "--k", "2",
+                       "--matrix", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    stair = Staircase("su", 2, tuple(tuple(tuple(triple) for triple in row) for row in rows))
+    assert DEFAULT_TOL.close(reconstruct(GroupSpec("su", 5, 3), stair), B)
+
+
 def test_reduce_command(tmp_path, capsys):
     spec = GroupSpec("so", 4, 3)
     r = parse_root("L1-L2", spec)
@@ -244,6 +256,19 @@ def test_tolerance_env_override(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--suite", "additivity", "--family", "so",
                      "--m", "4", "--n", "3", "--samples", "10")
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [["trace-pairing", "--m", "5", "--n", "3", "--samples", "50"],
+                                     ["verify-all", "--family", "su", "--m", "4", "--n", "3",
+                                      "--samples", "5"]], ids=lambda c: c[0])
+def test_tolerance_below_rounding_fails_the_suites(capsys, monkeypatch, command):
+    # the sampler's unit vectors are unit up to rounding: a tighter tolerance
+    # must fail the relations, not reject the inputs
+    monkeypatch.delenv("RIGIDKIT_TOL", raising=False)
+    code, out, err = run(capsys, *command, "--tol", "1e-16", "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["pass"] is False
 
 
 @pytest.mark.parametrize("tol, env", [("nan", None), ("-1", None), (None, "nan")],

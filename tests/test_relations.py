@@ -19,6 +19,7 @@ from rigidkit.relations import (anti_proportional, commutator_decompose,
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "commutators.json"
 GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
+GOLDEN_BRAID = pathlib.Path(__file__).parent / "golden" / "braid_su.json"
 
 SO43 = GroupSpec("so", 4, 3)
 SU33 = GroupSpec("su", 3, 3)
@@ -165,6 +166,42 @@ def test_verify_all_matches_golden_reports():
         assert json.dumps(got) == json.dumps(want), key
 
 
+def test_braid_su_matches_golden_reports():
+    # verify_all.json has no SU spec with m - n >= 3, so these pin the SU braid
+    golden = json.loads(GOLDEN_BRAID.read_text())
+    assert len(golden) == 2
+    for key, want in golden.items():
+        family, m, n = key.split(":")
+        got = run_suite(GroupSpec(family, int(m), int(n)), "braid", samples=20, seed=42)
+        assert json.dumps(got.to_json()) == json.dumps(want), key
+
+
+def _su2_phase(t):
+    return np.diag([np.exp(1j * t), np.exp(-1j * t)])
+
+
+def _su2_rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
+
+
+# draws whose exchange window is at gimbal lock: its corner entry has modulus 1
+# up to rounding; dir 0 is the forward exchange, dir 1 the reverse one
+@pytest.mark.parametrize("family,direction,draws", [
+    ("so", 0, (0.4, 0.0, -0.4)), ("so", 0, (0.4, np.pi, 0.4)), ("so", 0, (1.3, 0.0, -1.3)),
+    ("so", 1, (1.1, 0.0, -1.1)), ("so", 1, (1.1, np.pi, 1.1)), ("so", 1, (1.3, 0.0, -1.3)),
+    ("su", 0, (_su2_phase(0.7), _su2_rotation(0.7), _su2_phase(1.1))),
+    ("su", 1, (_su2_phase(0.4), _su2_rotation(0.7), _su2_phase(-1.1)))],
+    ids=["so-fwd-0.4", "so-fwd-0.4-pi", "so-fwd-1.3", "so-rev-1.1", "so-rev-1.1-pi", "so-rev-1.3",
+         "su-fwd", "su-rev"])
+def test_braid_exchange_near_gimbal_lock(monkeypatch, family, direction, draws):
+    pending = iter(draws)
+    monkeypatch.setattr(relations, "_angle", lambda rng: next(pending))
+    monkeypatch.setattr(relations, "_rand_su2", lambda rng: next(pending))
+    spec = GroupSpec(family, 6, 3)
+    (_, L, R, _), = relations._braid(spec, np.random.default_rng(0), direction, DEFAULT_TOL)
+    assert DEFAULT_TOL.residual(L, R) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # negative controls: a wrong sign in a builder must fail each suite
 
@@ -294,6 +331,18 @@ def test_no_chain_built_twice_in_a_sample(monkeypatch, suite_id, spec):
         # a call is (spec, root, value) or (spec, root, value, t)
         built = [(args[1], tuple(np.ravel(args[2])), (args[3:] or (0.0,))[0]) for args in chain]
         assert len(set(built)) == len(built), (suite_id, i)
+
+
+@pytest.mark.parametrize("suite_id,spec", [
+    pytest.param(sid, spec, id=sid) for sid, spec in CHAIN_SUITES if not sid.startswith("symbol")])
+def test_no_inverse_taken_twice_in_a_sample(monkeypatch, suite_id, spec):
+    # the symbol samplers invert once per distinct symbol, and {t1, t2} and
+    # {t2, t1} share h(t1 t2) (see test_symbol_samplers_build_each_word_once)
+    inv = _recorded_calls(monkeypatch, "INV")
+    for i in range(12):
+        _sample_calls(suite_id, spec, i, inv)
+        inputs = [args[0].tobytes() for args in inv]
+        assert len(set(inputs)) == len(inputs), (suite_id, i)
 
 
 def test_run_suite_side_condition():

@@ -212,3 +212,12 @@ def test_su2_euler_random():
         Ri2 = np.array([[c2, -1j * s2], [-1j * s2, c2]])
         Rr3 = np.array([[c3, -s3], [s3, c3]])
         assert np.linalg.norm(Rr1 @ Ri2 @ Rr3 - V) < 1e-10
+
+
+@pytest.mark.parametrize("V", [np.diag([1j, -1j]), np.array([[0, 1j], [1j, 0]])],
+                         ids=["diag", "antidiag"])
+def test_staircase_roundtrip_su_at_zero_real_part(V):
+    # both blocks have a first row with zero real part: su2_euler's c2 = 0 branch
+    spec = GroupSpec("su", 5, 3)
+    stair = staircase_decompose(spec, V)
+    assert DEFAULT_TOL.close(reconstruct(spec, stair), V)
