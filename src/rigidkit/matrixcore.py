@@ -20,13 +20,18 @@ from .errors import NotNilpotent, ParseError, SizeMismatch
 
 FAMILIES = ("so", "su")
 
+# the largest matrix size m + n a GroupSpec admits; a spec is checked before
+# any matrix is built, so an oversized request fails without allocating
+MAX_SIZE = 64
+
 
 @dataclass(frozen=True)
 class GroupSpec:
     """Which group we are working in: SO+(m,n) ("so") or SU(m,n) ("su").
 
     The standing hypothesis m >= n >= 3 is enforced; the ambient matrix
-    size is m + n and the compact tail block has size m - n.
+    size is m + n, at most MAX_SIZE, and the compact tail block has size
+    m - n.
     """
 
     family: str
@@ -38,6 +43,8 @@ class GroupSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not (self.m >= self.n >= 3):
             raise ValueError(f"m >= n >= 3 required, got m={self.m}, n={self.n}")
+        if self.m + self.n > MAX_SIZE:
+            raise ValueError(f"m + n must be at most {MAX_SIZE}, got {self.m + self.n}")
 
     @property
     def size(self) -> int:

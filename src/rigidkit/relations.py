@@ -6,9 +6,9 @@ lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
 named pairs of sides, always assembled independently as matrices; it builds
-each distinct word of the sample once (chains, their inverses, h words and
-their inverses, rotation words and symbols) in one per-sample word table and
-shares it between the sides, and nothing is kept from one sample to the next.
+each distinct word of the sample once (chains, h words, rotation words, their
+inverses and symbols) in one per-sample word table and shares it between the
+sides, and nothing is kept from one sample to the next.
 The one runner, run_suite, draws each sample's seeded substream, compares the
 sides and produces a machine-readable report.  Structure constants are never
 hard-coded but extracted numerically and certified.
@@ -20,6 +20,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import mul
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, rot_from_angle,
                          w_matrix, x_elem)
-from .rootsystem import RootLabel, is_root, parse_label, root_position, roots
+from .rootsystem import RootLabel, parse_label, root_index, root_position, roots
 from .words import su2_euler
 
 INV = np.linalg.inv
@@ -187,12 +188,14 @@ def anti_proportional(r: RootLabel, p: RootLabel) -> bool:
 
     dir(L_i) and dir(2L_i) index the same one-root unipotent group, so a
     pair like (-L_i, 2L_i) pairs a group with its opposite; the commutator
-    is then not unipotent and carries no decomposition.
+    is then not unipotent and carries no decomposition.  The test is exact
+    integer arithmetic: r.p < 0, and r_i p_j = r_j p_i for all i, j, which
+    by Lagrange's identity |r|^2 |p|^2 - (r.p)^2 = sum_{i<j} (r_i p_j - r_j p_i)^2
+    holds exactly when (r.p)^2 = |r|^2 |p|^2.
     """
-    rc = np.asarray(r.coeffs)
-    pc = np.asarray(p.coeffs)
-    cross = np.outer(rc, pc)
-    return bool(np.all(cross == cross.T) and rc @ pc < 0)
+    rc, pc = r.coeffs, p.coeffs
+    dot = sum(map(mul, rc, pc))
+    return dot < 0 and dot * dot == sum(map(mul, rc, rc)) * sum(map(mul, pc, pc))
 
 
 def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
@@ -202,9 +205,12 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     The commutator is unipotent; its nilpotent logarithm is projected onto
     the root spaces i*r + j*p (i, j >= 1) and the product of the extracted
     one-root factors, taken in ascending height order, must reproduce the
-    commutator.  The table is empty exactly when no i*r + j*p is a root.
-    Pairs along opposite root directions (r = -c*p, c > 0) are rejected:
-    their commutator leaves the unipotent world.
+    commutator.  The term roots come from coefficient arithmetic: each
+    i*r + j*p is formed as an integer tuple and looked up in
+    ``root_index``, which also supplies the term's label.  The table is
+    empty exactly when no i*r + j*p is a root.  Pairs along opposite root
+    directions (r = -c*p, c > 0) are rejected: their commutator leaves the
+    unipotent world.
     """
     if anti_proportional(r, p):
         raise OppositeRoots(f"{r} and {p} span opposite root group directions")
@@ -212,20 +218,19 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     B = x_elem(spec, p, b)
     # one-root generators invert exactly through parameter negation
     C = A @ B @ _x_matrix(spec, r, param_neg(a)) @ _x_matrix(spec, p, param_neg(b))
-    seen = {}
+    index = root_index(spec)
+    seen = {}   # coefficient tuple of a term root -> (height i + j, i)
     for i in range(1, 4):
         for j in range(1, 4):
-            c = tuple(i * x + j * y for x, y in zip(r.coeffs, p.coeffs))
-            q = RootLabel(c)
-            if any(v != 0 for v in c) and is_root(spec, q) and q not in seen:
-                seen[q] = (i + j, i)
-    order = sorted(seen, key=lambda q: seen[q])
+            c = tuple([i * x + j * y for x, y in zip(r.coeffs, p.coeffs)])
+            if c in index and c not in seen:
+                seen[c] = (i + j, i)
     terms = []
-    if order:
+    if seen:
         X = nilpotent_log(C, tol)
-        for q in order:
-            double = RootLabel(tuple(2 * c for c in q.coeffs))
-            terms.append((q, _extract_term(spec, q, X, double in seen)))
+        for c in sorted(seen, key=seen.get):
+            q = index[c].label
+            terms.append((q, _extract_term(spec, q, X, tuple([2 * v for v in c]) in seen)))
     # with no term the product P is the identity: the commutator must be trivial
     P = identity(spec.size)
     for q, par in terms:
@@ -777,9 +782,10 @@ def _conj_su(spec, rng, i, tol):
 
 def _symbol_scalar(spec, rng, i, tol):
     words = _Words(spec)
-    h = partial(words.h, parse_label("L1-L2", spec.n))
+    root = parse_label("L1-L2", spec.n)
+    h, hinv = partial(words.h, root), partial(words.hinv, root)
     # {s, t} from h words; the identity matrix if the symbol dies
-    sym = lambda s, t: words.get(("sym", s, t), lambda: h(s) @ h(t) @ INV(h(s * t)))
+    sym = lambda s, t: words.get(("sym", s, t), lambda: h(s) @ h(t) @ hinv(s * t))
     I = identity(spec.size)
     t1, t2, t3 = (_inv_scalar(spec, rng) for _ in range(3))
     inputs = {"t1": t1, "t2": t2, "t3": t3}
@@ -799,8 +805,9 @@ def _symbol_circle(spec, rng, i, tol):
     I = identity(spec.size)
     words = _Words(spec)
     rot = lambda x: words.get(("rot", x), h_rot, spec, j, x, variant)
+    rotinv = lambda x: words.get(("rotinv", x), lambda: INV(rot(x)))
     sym = lambda x, y: words.get(("sym", x, y),
-                                 lambda: rot(_circle_mul(x, y)) @ INV(rot(x)) @ INV(rot(y)))
+                                 lambda: rot(_circle_mul(x, y)) @ rotinv(x) @ rotinv(y))
     inputs = {"j": j, "ab": ab, "cd": cd, "variant": variant}
     yield "{ab, cd} = id", sym(ab, cd), I, inputs
     yield ("{ab, cd ef} = {ab, cd} {ab, ef}", sym(ab, _circle_mul(cd, ef)),

@@ -4,7 +4,9 @@ Roots are integer coefficient vectors in the dual of the Cartan: L_i - L_j
 and L_i + L_j (multiplicity 1 / 2), L_i when m > n (multiplicity m-n /
 2(m-n)), and 2L_i for the unitary family (multiplicity 1).  Root spaces are
 produced as explicit matrices in the split basis fixed by
-``matrixcore.form_matrix``.
+``matrixcore.form_matrix``.  Which vectors are roots is answered by one
+index keyed by the coefficient tuple (``root_index``), so a caller doing
+coefficient arithmetic looks its sums up without building a label.
 """
 
 from __future__ import annotations
@@ -109,8 +111,13 @@ def _roots_cached(spec: GroupSpec) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _root_index(spec: GroupSpec) -> dict:
-    return {info.label: info.multiplicity for info in _roots_cached(spec)}
+def root_index(spec: GroupSpec) -> dict:
+    """Coefficient tuple -> RootInfo for every root of ``spec``.
+
+    Keyed by ``label.coeffs``: a tuple of ints hashes in C, so a lookup never
+    runs a label's Python ``__hash__``.  The shared dict must not be mutated.
+    """
+    return {info.label.coeffs: info for info in _roots_cached(spec)}
 
 
 def roots(spec: GroupSpec) -> list:
@@ -129,12 +136,12 @@ def positive_roots(spec: GroupSpec) -> list:
 
 
 def is_root(spec: GroupSpec, label: RootLabel) -> bool:
-    return label in _root_index(spec)
+    return label.coeffs in root_index(spec)
 
 
 def multiplicity(spec: GroupSpec, label: RootLabel) -> int:
     try:
-        return _root_index(spec)[label]
+        return root_index(spec)[label.coeffs].multiplicity
     except KeyError:
         raise UnknownRoot(f"{label} is not a root of {spec}") from None
 

@@ -190,6 +190,12 @@ def _exit_2_one_line(capsys, *argv):
     return err
 
 
+def test_oversized_spec_exit_2(capsys):
+    # roots builds no matrix, so this probes the GroupSpec cap without allocating
+    err = _exit_2_one_line(capsys, "roots", "--family", "so", "--m", "100", "--n", "3")
+    assert "at most" in err
+
+
 @pytest.mark.parametrize("param", ['{"t": 1e999}', '{"t": -1e999}', '{"t": NaN}'])
 def test_non_finite_parameter_exit_2(capsys, param):
     err = _exit_2_one_line(capsys, "chain", "--family", "so", "--m", "4", "--n", "3",

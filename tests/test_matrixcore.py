@@ -23,6 +23,15 @@ def test_spec_validation():
     assert GroupSpec("su", 5, 3).tail == 2
 
 
+def test_spec_size_cap():
+    # the cap is checked in the constructor, before any matrix could be built
+    with pytest.raises(ValueError, match="at most 64"):
+        GroupSpec("so", 10**9, 3)
+    with pytest.raises(ValueError, match="at most 64"):
+        GroupSpec("su", 62, 3)
+    assert GroupSpec("su", 61, 3).size == 64
+
+
 def test_form_matrix_so33():
     G = form_matrix(GroupSpec("so", 3, 3))
     expected = np.zeros((6, 6))

@@ -4,10 +4,10 @@ import pytest
 from rigidkit.errors import (DegeneratePlane, NotRegular, ParseError, SizeMismatch,
                              UnknownRoot)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
-from rigidkit.rootsystem import (embed, hyperplane_representatives,
-                                 is_generic_plane, is_regular, multiplicity, parse_root,
-                                 positive_roots, root_space_basis, root_value, roots,
-                                 weyl_chamber)
+from rigidkit.rootsystem import (RootLabel, embed, hyperplane_representatives,
+                                 is_generic_plane, is_regular, is_root, multiplicity,
+                                 parse_root, positive_roots, root_index, root_space_basis,
+                                 root_value, roots, weyl_chamber)
 from rigidkit.lyapunov import dim_group, zero_multiplicity
 
 
@@ -41,6 +41,17 @@ def test_roots_closed_under_negation():
         for info in roots(spec):
             assert -info.label in labels
             assert multiplicity(spec, -info.label) == info.multiplicity
+
+
+def test_root_index_keyed_by_coefficients():
+    for spec in [GroupSpec("so", 5, 3), GroupSpec("su", 4, 4)]:
+        index = root_index(spec)
+        assert list(index.values()) == roots(spec)
+        assert all(c == info.label.coeffs for c, info in index.items())
+        bad = RootLabel((1, 1, 1) + (0,) * (spec.n - 3))
+        assert bad.coeffs not in index and not is_root(spec, bad)
+        with pytest.raises(UnknownRoot):
+            multiplicity(spec, bad)
 
 
 def test_basis_so43_diff():
