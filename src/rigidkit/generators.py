@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (CertificationError, NotOnSphere, OutOfRange, ParseError, Sh
                      UnknownRoot, VariantUnsupported, ZeroParameter)
 from .matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, identity, in_group, json_complex,
                          json_field, json_real)
-from .rootsystem import RootLabel, embed, is_root, mirror_position, parse_label, root_position
+from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
 
@@ -169,20 +168,13 @@ def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     return _x_matrix(spec, root, p)
 
 
-@lru_cache(maxsize=None)
-def _stencil(spec: GroupSpec, root: RootLabel) -> tuple:
-    """root_position and the mirror of its entry, derived once per (spec, root)."""
-    kind, pos = root_position(spec, root)
-    return kind, pos, mirror_position(spec, *pos)
-
-
 def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     M = identity(spec.size)
-    kind, pos, mirror = _stencil(spec, root)
+    kind, pos = root.position
     if kind == "pm":
         z = complex(p.t) if type(p) is Scalar else complex(p.z)
         M[pos] += z
-        M[mirror] -= z.conjugate()
+        M[root.mirror] -= z.conjugate()
         return M
     if kind == "long":
         M[pos] += 1j * p.t
@@ -201,7 +193,7 @@ def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
 
 def heis_read(spec: GroupSpec, root: RootLabel, M: np.ndarray) -> Heis:
     """Read the (t, a) coordinates of a unipotent ±L_i element off its entries."""
-    _, (row, col) = root_position(spec, root)
+    _, (row, col) = root.position
     return Heis(float(M[row, col].imag), tuple(M[row, 2 * spec.n:]))
 
 
@@ -260,10 +252,15 @@ def chain_params(spec: GroupSpec, root: RootLabel, p):
 
 
 def _chain_factors(spec: GroupSpec, root: RootLabel, p) -> tuple:
-    """The three one-root factors (x0, y0, x1) of the chain element, as matrices."""
+    """The three one-root factors (x0, y0, x1) of the chain element, as matrices.
+
+    When chain_params returns the same outer parameter twice, X0 is built
+    once and returned as X1 too.
+    """
     check_param(spec, root, p)
     x0, y0, x1 = chain_params(spec, root, p)
-    return _x_matrix(spec, root, x0), _x_matrix(spec, -root, y0), _x_matrix(spec, root, x1)
+    X0, Y0 = _x_matrix(spec, root, x0), _x_matrix(spec, -root, y0)
+    return X0, Y0, (X0 if x1 is x0 else _x_matrix(spec, root, x1))
 
 
 def w_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
@@ -333,7 +330,8 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
     The compact block is the rotation [[a^2-b^2, -2ab], [2ab, a^2-b^2]] in
     tail coordinates (j, j+1); the imaginary variant (unitary only) carries
     the conjugate block.  The word is the defining 9-factor (orthogonal) or
-    6-factor (unitary) product; it is not simplified.
+    6-factor (unitary) product; it is not simplified, but each of its 6
+    (orthogonal) or 4 (unitary) distinct factors is built once.
     """
     a, b = ab
     if variant not in ("real", "imag"):
@@ -356,7 +354,9 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         e = np.zeros(k, dtype=complex)
         e[j - 1] = -s2
         pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
-        word = [(pos, pc), (neg, pc), (pos, pc), (pos, pe), (neg, pe), (pos, pe)]
+        Xc, Yc, Xe, Ye = (_x_matrix(spec, r, q) for r, q in
+                          ((pos, pc), (neg, pc), (pos, pe), (neg, pe)))
+        word = (Xc, Yc, Xc, Xe, Ye, Xe)
     else:
         va = [0.0] * k
         vb = [0.0] * k
@@ -365,11 +365,13 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         vb[j] = s2 * b
         ve[j - 1] = -s2
         pa, pb, pe = RVec(va), RVec(vb), RVec(ve)
-        word = [(pos, pa), (pos, pb), (neg, pa), (neg, pb), (pos, pa), (pos, pb),
-                (pos, pe), (neg, pe), (pos, pe)]
+        Xa, Xb, Ya, Yb, Xe, Ye = (_x_matrix(spec, r, q) for r, q in
+                                  ((pos, pa), (pos, pb), (neg, pa), (neg, pb),
+                                   (pos, pe), (neg, pe)))
+        word = (Xa, Xb, Ya, Yb, Xa, Xb, Xe, Ye, Xe)
     M = identity(spec.size)
-    for root, param in word:
-        M = M @ _x_matrix(spec, root, param)
+    for X in word:
+        M = M @ X
     return M
 
 
@@ -423,12 +425,12 @@ def w_closed_form(spec: GroupSpec, root: RootLabel, p) -> PermDiag:
         # w_root(p) = w_{-root}(y0), with y0 the middle factor of the chain w_root(p)
         return w_closed_form(spec, -root, chain_params(spec, root, p)[1])
     n, size = spec.n, spec.size
-    kind, (row, col) = root_position(spec, root)
+    kind, (row, col) = root.position
     diag = [1.0 + 0j] * size
     swaps = [(row + 1, col + 1)]
     if kind == "pm":
         z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
-        mrow, mcol = mirror_position(spec, row, col)
+        mrow, mcol = root.mirror
         swaps.append((mrow + 1, mcol + 1))
         diag[row] = -1.0 / z
         diag[col] = z

@@ -8,13 +8,14 @@ cycles and membership in the neutral block group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import UnknownRoot
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, in_group
-from .rootsystem import embed, is_root, root_space_basis, root_value, roots
+from .rootsystem import cartan_vector, embed, is_root, root_space_basis, roots
 
 
 def dim_group(spec: GroupSpec) -> int:
@@ -94,25 +95,40 @@ class SplittingReport:
                 "unstable_dim": self.unstable_dim, "neutral_dim": self.neutral_dim}
 
 
+def _read_only(mats: list) -> tuple:
+    for M in mats:
+        M.flags.writeable = False
+    return tuple(mats)
+
+
+@lru_cache(maxsize=None)
+def _spaces_cached(spec: GroupSpec) -> tuple:
+    """The constants a splitting reads, built once per spec, all read-only:
+    the neutral basis (the Cartan, then the compact zero block), the root
+    coefficient matrix and each root's space basis, both in ``roots`` order."""
+    infos = roots(spec)
+    coeffs = np.array([info.label.coeffs for info in infos], dtype=float)
+    coeffs.flags.writeable = False
+    neutral = _read_only([embed(spec, e) for e in np.eye(spec.n)] + _neutral_compact_basis(spec))
+    return neutral, coeffs, tuple(_read_only(root_space_basis(spec, info.label)) for info in infos)
+
+
 def splitting(spec: GroupSpec, t, tol: Tolerance = DEFAULT_TOL) -> SplittingReport:
     """Classify root-space directions by the sign of the exponent at t.
 
     Walls are allowed: root spaces with |value| below tolerance count as
-    neutral, alongside the Cartan and the compact zero block.
+    neutral, alongside the Cartan and the compact zero block.  The bases
+    in the report are shared read-only matrices.
     """
-    t = np.asarray(t, dtype=float)
+    t = cartan_vector(spec, t)
     wall = tol.rel * (1.0 + np.linalg.norm(t))
-    stable, unstable = [], []
-    neutral = []
-    for i in range(spec.n):
-        e = np.zeros(spec.n)
-        e[i] = 1.0
-        neutral.append(embed(spec, e))
-    neutral.extend(_neutral_compact_basis(spec))
-    for info in roots(spec):
-        val = root_value(info.label, t)
+    neutral_basis, coeffs, bases = _spaces_cached(spec)
+    stable, unstable, neutral = [], [], list(neutral_basis)
+    # every root value has at most two nonzero terms, each an exact product
+    # of t_i with 1 or 2, so the one product rounds as each root's own dot
+    for val, basis in zip((coeffs @ t).tolist(), bases):
         target = stable if val < -wall else (unstable if val > wall else neutral)
-        target.extend(root_space_basis(spec, info.label))
+        target.extend(basis)
     return SplittingReport(tuple(float(x) for x in t),
                            len(stable), len(unstable), len(neutral),
                            tuple(stable), tuple(unstable), tuple(neutral))
@@ -131,9 +147,7 @@ def bracket_generation_check(spec: GroupSpec, include_brackets: bool = True):
     With brackets the span must be the whole Lie algebra.  Returns
     (ok, rank) where ok means rank == dim_group(spec).
     """
-    vectors = []
-    for info in roots(spec):
-        vectors.extend(root_space_basis(spec, info.label))
+    vectors = [M for basis in _spaces_cached(spec)[2] for M in basis]
     mats = list(vectors)
     if include_brackets:
         for a in range(len(vectors)):

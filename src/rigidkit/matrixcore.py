@@ -79,9 +79,20 @@ class Tolerance:
 
     def residual(self, A: np.ndarray, B: np.ndarray) -> float:
         """Normalized distance, directly comparable against ``rel``."""
-        num = np.linalg.norm(A - B)
-        den = 1.0 + max(np.linalg.norm(A), np.linalg.norm(B))
-        return float(num / den)
+        return _frobenius(A - B) / (1.0 + max(_frobenius(A), _frobenius(B)))
+
+
+def _frobenius(X) -> float:
+    """np.linalg.norm(X) of an array or scalar, by numpy's own formula (the
+    same cast, ravel and dot products), without its dispatch."""
+    x = np.asarray(X)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 DEFAULT_TOL = Tolerance()

@@ -31,7 +31,7 @@ from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, rot_from_angle,
                          w_matrix, x_elem)
-from .rootsystem import RootLabel, parse_label, root_index, root_position, roots
+from .rootsystem import RootLabel, parse_label, root_index, roots
 from .words import su2_euler
 
 INV = np.linalg.inv
@@ -170,7 +170,7 @@ class CommutatorTable:
 
 def _extract_term(spec: GroupSpec, q: RootLabel, X: np.ndarray, has_double: bool):
     """Read the group parameter of the q-component off the nilpotent log."""
-    kind, pos = root_position(spec, q)
+    kind, pos = q.position
     if kind == "pm":
         v = X[pos]
         return Cx(complex(v)) if spec.unitary else Scalar(float(v.real))

@@ -11,13 +11,15 @@ coefficient arithmetic looks its sums up without building a label.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePlane, NotRegular, ParseError, SizeMismatch, UnknownRoot
+from .errors import (DegeneratePlane, NotRegular, OutOfRange, ParseError, SizeMismatch,
+                     UnknownRoot)
 from .matrixcore import GroupSpec, Tolerance, DEFAULT_TOL, basis_matrix
 
 _ROOT_RE = re.compile(r"^([+-]?)(2?)L(\d+)(?:([+-])(2?)L(\d+))?$")
@@ -48,6 +50,36 @@ class RootLabel:
         if len(sup) == 1 and abs(self.coeffs[sup[0]]) == 2:
             return "long"
         raise UnknownRoot(f"coefficient vector {self.coeffs} is not a root shape")
+
+    @cached_property
+    def position(self) -> tuple:
+        """Where the root space sits in the matrix: (kind, (row, col)), 0-based.
+
+        Row k < n carries the weight L_{k+1}, row k + n the weight -L_{k+1},
+        and the tail rows weight 0; an entry (row, col) lies in the root space
+        of weight(row) - weight(col).  The leading entry is the parameter entry
+        of a ±L_i±L_j or ±2L_i root and the central (a0) entry of a ±L_i root,
+        whose vector part fills row ``row`` at the tail columns.  It depends on
+        n = len(coeffs) alone, so it is kept on the label and read without
+        hashing anything.
+        """
+        n = len(self.coeffs)
+        kind = self.kind
+        up = [k for k in self.support if self.coeffs[k] > 0]
+        down = [k for k in self.support if self.coeffs[k] < 0]
+        if kind != "pm":
+            k = self.support[0]
+            return kind, ((k, k + n) if up else (k + n, k))
+        if up and down:                           # L_i - L_j
+            return kind, (up[0], down[0])
+        if up:                                    # L_i + L_j, i < j
+            return kind, (up[0], up[1] + n)
+        return kind, (down[1] + n, down[0])       # -L_i - L_j, i < j
+
+    @cached_property
+    def mirror(self) -> tuple:
+        """The entry the invariant form pairs with the leading entry."""
+        return _mirror(len(self.coeffs), *self.position[1])
 
     @cached_property
     def _negated(self) -> "RootLabel":
@@ -110,14 +142,19 @@ def _roots_cached(spec: GroupSpec) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def root_index(spec: GroupSpec) -> dict:
     """Coefficient tuple -> RootInfo for every root of ``spec``.
 
     Keyed by ``label.coeffs``: a tuple of ints hashes in C, so a lookup never
-    runs a label's Python ``__hash__``.  The shared dict must not be mutated.
+    runs a label's Python ``__hash__``.  The index itself is cached by the
+    spec's fields for the same reason.  The shared dict must not be mutated.
     """
-    return {info.label.coeffs: info for info in _roots_cached(spec)}
+    return _root_index(spec.family, spec.m, spec.n)
+
+
+@lru_cache(maxsize=None)
+def _root_index(family: str, m: int, n: int) -> dict:
+    return {info.label.coeffs: info for info in _roots_cached(GroupSpec(family, m, n))}
 
 
 def roots(spec: GroupSpec) -> list:
@@ -146,29 +183,9 @@ def multiplicity(spec: GroupSpec, label: RootLabel) -> int:
         raise UnknownRoot(f"{label} is not a root of {spec}") from None
 
 
-@lru_cache(maxsize=None)
-def root_position(spec: GroupSpec, root: RootLabel) -> tuple:
-    """Where a root space sits in the matrix: (kind, (row, col)), 0-based.
-
-    Row k < n carries the weight L_{k+1}, row k + n the weight -L_{k+1},
-    and the tail rows weight 0; an entry (row, col) lies in the root space
-    of weight(row) - weight(col).  The leading entry is the parameter entry
-    of a ±L_i±L_j or ±2L_i root and the central (a0) entry of a ±L_i root,
-    whose vector part fills row ``row`` at the tail columns.  Every entry
-    pairs with its ``mirror_position``.
-    """
-    n = spec.n
-    kind = root.kind
-    up = [k for k in root.support if root.coeffs[k] > 0]
-    down = [k for k in root.support if root.coeffs[k] < 0]
-    if kind != "pm":
-        k = root.support[0]
-        return kind, ((k, k + n) if up else (k + n, k))
-    if up and down:                           # L_i - L_j
-        return kind, (up[0], down[0])
-    if up:                                    # L_i + L_j, i < j
-        return kind, (up[0], up[1] + n)
-    return kind, (down[1] + n, down[0])       # -L_i - L_j, i < j
+def _mirror(n: int, row: int, col: int) -> tuple:
+    s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
+    return s(col), s(row)
 
 
 def mirror_position(spec: GroupSpec, row: int, col: int) -> tuple:
@@ -177,9 +194,7 @@ def mirror_position(spec: GroupSpec, row: int, col: int) -> tuple:
     Every algebra element has X[s(col), s(row)] = -conj(X[row, col]), where
     s swaps k and k + n for k < 2n and fixes the tail.
     """
-    n = spec.n
-    s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
-    return s(col), s(row)
+    return _mirror(spec.n, row, col)
 
 
 def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
@@ -187,7 +202,7 @@ def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
     if not is_root(spec, label):
         raise UnknownRoot(f"{label} is not a root of {spec}")
     E = lambda pos, v=1.0: basis_matrix(spec.size, pos[0] + 1, pos[1] + 1, v)
-    kind, (row, col) = root_position(spec, label)
+    kind, (row, col) = label.position
     if kind == "long":
         return [E((row, col), 1j)]
     entries = [(row, col)] if kind == "pm" else [(row, c) for c in range(2 * spec.n, spec.size)]
@@ -249,9 +264,26 @@ def embed(spec: GroupSpec, t) -> np.ndarray:
     return np.diag(d)
 
 
+def cartan_vector(spec: GroupSpec, t, what: str = "Cartan vector") -> np.ndarray:
+    """``t`` as a float vector of length n.
+
+    SizeMismatch for another length; OutOfRange when the norm, which every
+    scale-relative wall is measured against, is not finite (a nan or
+    infinite entry, or finite entries whose norm overflows).
+    """
+    t = np.asarray(t, dtype=float)
+    if t.shape != (spec.n,):
+        raise SizeMismatch(f"{what} must have length {spec.n}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(t)
+    if not math.isfinite(norm):
+        raise OutOfRange(f"{what} must have finite entries and a finite norm, got {t.tolist()}")
+    return t
+
+
 def is_regular(spec: GroupSpec, t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no root functional vanishes at t (up to scale tolerance)."""
-    t = np.asarray(t, dtype=float)
+    t = cartan_vector(spec, t)
     scale = tol.rel * (1.0 + np.linalg.norm(t))
     return all(abs(root_value(info.label, t)) > scale for info in positive_roots(spec))
 
@@ -295,10 +327,8 @@ def is_generic_plane(spec: GroupSpec, v1, v2, tol: Tolerance = DEFAULT_TOL) -> G
     nonzero functional on the plane and no two distinct hyperplanes restrict
     proportionally.  The witness names the offending hyperplane(s).
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.shape != (spec.n,) or v2.shape != (spec.n,):
-        raise SizeMismatch(f"plane vectors must have length {spec.n}")
+    v1 = cartan_vector(spec, v1, "plane vector")
+    v2 = cartan_vector(spec, v2, "plane vector")
     # |v1 ^ v2|^2 = det of the Gram matrix; dependence is scale-free
     wedge_sq = (v1 @ v1) * (v2 @ v2) - (v1 @ v2) ** 2
     if wedge_sq <= (tol.rel ** 2) * (v1 @ v1) * (v2 @ v2):

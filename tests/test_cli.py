@@ -203,6 +203,14 @@ def test_non_finite_parameter_exit_2(capsys, param):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lyapunov", "--t", "1,nan,2"), ("lyapunov", "--t", "1e308,1e308,-1e308"),
+    ("genplane", "--v1", "1,inf,0", "--v2", "0,1,0")], ids=["nan", "norm-overflow", "inf"])
+def test_non_finite_cartan_vector_exit_2(capsys, argv):
+    err = _exit_2_one_line(capsys, *argv, "--family", "so", "--m", "4", "--n", "3")
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"entries": []}, {"size": 2}, {"size": "2", "entries": []}, {"size": 1, "entries": [[1]]},
     {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2]])

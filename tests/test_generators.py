@@ -9,9 +9,9 @@ from rigidkit.generators import (Cx, Heis, RVec, Scalar, h_elem, h_rot,
                                  heis_compose, heis_read, param_add, param_from_json,
                                  param_neg, param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
-from rigidkit.rootsystem import (RootLabel, mirror_position, parse_root, root_position,
-                                 root_space_basis, roots)
+from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
 from rigidkit.relations import _extract_term, rand_param, rng_for
+from rigidkit import generators
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -166,7 +166,7 @@ def test_stencil_round_trip(spec, root):
         assert np.allclose(_flat(got), _flat(p), rtol=0, atol=1e-12)
     # the basis sits exactly at the stencil's entries and their mirrors, and
     # every such entry has the root as its weight
-    kind, (row, col) = root_position(spec, root)
+    kind, (row, col) = root.position
     lead = [(row, c) for c in range(2 * spec.n, spec.size)] if kind == "vec" else [(row, col)]
     want = set(lead) | {mirror_position(spec, *pos) for pos in lead}
     got = {(int(r), int(c)) for f in root_space_basis(spec, root) for r, c in np.argwhere(f != 0)}
@@ -252,6 +252,87 @@ def test_h_rot_identity_cases():
     for spec in (SO53, GroupSpec("su", 5, 3)):
         assert DEFAULT_TOL.close(h_rot(spec, 1, (1.0, 0.0)), identity(spec.size))
         assert DEFAULT_TOL.close(h_rot(spec, 1, (-1.0, 0.0)), identity(spec.size))
+
+
+def _count_builds(monkeypatch):
+    """Count generators._x_matrix calls; the returned list grows by one per build."""
+    calls = []
+    build = generators._x_matrix
+
+    def counted(spec, root, p):
+        calls.append(root)
+        return build(spec, root, p)
+    monkeypatch.setattr(generators, "_x_matrix", counted)
+    return calls
+
+
+def test_chain_builds_each_distinct_factor_once(monkeypatch):
+    # x1 is x0 for every chain but the general Heisenberg one, and then X0
+    # serves as X1 too; the factors and w stay bit-identical to three builds
+    su53 = GroupSpec("su", 5, 3)
+    cases = [(SO43, "L1-L2", Scalar(1.5), 2), (SO53, "-L2", RVec((0.5, -1.0)), 2),
+             (SU43, "L1+L2", Cx(0.3 - 0.8j), 2), (SU43, "-2L3", Scalar(-0.7), 2),
+             (su53, "L1", Heis(0.9, (0.0, 0.0)), 2), (su53, "L1", Heis(0.0, (0.5, 1j)), 2),
+             (su53, "-L2", Heis(0.9, (0.5, 1j)), 3)]
+    calls = _count_builds(monkeypatch)
+    for spec, text, p, builds in cases:
+        root = parse_root(text, spec)
+        calls.clear()
+        w = w_matrix(spec, root, p)
+        assert len(calls) == builds, (spec, text)
+        x0, y0, x1 = generators.chain_params(spec, root, p)
+        X0, Y0, X1 = (x_elem(spec, r, q) for r, q in ((root, x0), (-root, y0), (root, x1)))
+        assert np.array_equal(w, X0 @ Y0 @ X1)
+
+
+def _verbatim_h_rot(spec, j, ab, variant="real"):
+    """The rotation word built factor by factor, one build per letter."""
+    a, b = ab
+    s2, k = np.sqrt(2.0), spec.tail
+    pos, neg = parse_root(f"L{spec.n}", spec), parse_root(f"-L{spec.n}", spec)
+    e = np.zeros(k)
+    e[j - 1] = -s2
+    if spec.unitary:
+        c = np.zeros(k, dtype=complex)
+        c[j - 1], c[j] = s2 * a, s2 * b * (1j if variant == "imag" else 1.0)
+        pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
+        word = [(pos, pc), (neg, pc), (pos, pc), (pos, pe), (neg, pe), (pos, pe)]
+    else:
+        va, vb = np.zeros(k), np.zeros(k)
+        va[j - 1], vb[j] = s2 * a, s2 * b
+        pa, pb, pe = RVec(va), RVec(vb), RVec(e)
+        word = [(pos, pa), (pos, pb), (neg, pa), (neg, pb), (pos, pa), (pos, pb),
+                (pos, pe), (neg, pe), (pos, pe)]
+    M = identity(spec.size)
+    for root, q in word:
+        M = M @ x_elem(spec, root, q)
+    return M
+
+
+def test_h_rot_builds_each_distinct_factor_once(monkeypatch):
+    # 6 distinct factors of the 9-letter orthogonal word, 4 of the 6-letter
+    # unitary one; the product is still the verbatim word, bit for bit
+    cases = [(GroupSpec("so", 6, 3), 2, "real", 6), (GroupSpec("su", 6, 3), 1, "real", 4),
+             (GroupSpec("su", 6, 3), 2, "imag", 4)]
+    calls = _count_builds(monkeypatch)
+    for spec, j, variant, builds in cases:
+        ab = (np.cos(0.7), np.sin(0.7))
+        calls.clear()
+        M = h_rot(spec, j, ab, variant)
+        assert len(calls) == builds, (spec, variant)
+        assert np.array_equal(M, _verbatim_h_rot(spec, j, ab, variant))
+
+
+@pytest.mark.parametrize("spec", [SO53, GroupSpec("su", 6, 3)], ids=str)
+def test_h_rot_j_range(monkeypatch, spec):
+    # j names the tail plane (j, j+1): 1 <= j <= m-n-1, checked before any build
+    calls = _count_builds(monkeypatch)
+    for j in (0, spec.tail):
+        with pytest.raises(OutOfRange):
+            h_rot(spec, j, (1.0, 0.0))
+    assert calls == []
+    h_rot(spec, spec.tail - 1, (1.0, 0.0))
+    assert calls
 
 
 def test_h_rot_quarter_turn_block():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rigidkit.errors import UnknownRoot
+from rigidkit import lyapunov
+from rigidkit.errors import OutOfRange, UnknownRoot
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, h_elem, h_rot, x_elem
 from rigidkit.lyapunov import (CycleSpec, bracket_generation_check, dim_group,
@@ -66,6 +67,28 @@ def test_splitting_zero_vector_all_neutral():
         rep = splitting(spec, [0.0] * spec.n)
         assert rep.neutral_dim == dim_group(spec)
         assert rep.stable_dim == rep.unstable_dim == 0
+
+
+def test_splitting_reuses_cached_bases(monkeypatch):
+    # the root-space bases are built once per spec; a second splitting reads them
+    built = []
+    build = lyapunov.root_space_basis
+    monkeypatch.setattr(lyapunov, "root_space_basis",
+                        lambda spec, label: built.append(label) or build(spec, label))
+    spec = GroupSpec("su", 5, 4)
+    first = splitting(spec, [3.0, -2.0, 1.0, 0.5])
+    built.clear()
+    second = splitting(spec, [3.0, -2.0, 1.0, 0.5])
+    assert built == []
+    assert (second.stable_dim, second.unstable_dim) == (first.stable_dim, first.unstable_dim)
+    assert all(A is B for A, B in zip(first.stable_basis, second.stable_basis))
+
+
+@pytest.mark.parametrize("t", [[1.0, np.nan, 2.0], [np.inf, 0.0, 0.0],
+                               [1e308, 1e308, -1e308]], ids=["nan", "inf", "norm-overflow"])
+def test_splitting_rejects_non_finite_vectors(t):
+    with pytest.raises(OutOfRange):
+        splitting(SO43, t)
 
 
 def test_splitting_neutral_basis_is_independent():

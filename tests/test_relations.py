@@ -9,8 +9,8 @@ from rigidkit.errors import (DecompositionResidual, NoSolution, NotOnSphere, Opp
                              PairingMismatch, SideConditionViolated, UnknownSuite)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
-from rigidkit.rootsystem import parse_root, roots
-from rigidkit import generators, relations
+from rigidkit.rootsystem import RootLabel, parse_root, roots
+from rigidkit import generators, lyapunov, relations
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose,
                                 run_suite, su2_transporter,
@@ -265,6 +265,64 @@ def test_word_memos_are_per_sample(suite_id, spec):
         _negate_opposite_factors(patch)
         assert not run_suite(spec, suite_id, samples=4, seed=9).passed
     assert json.dumps(run_suite(spec, suite_id, samples=4, seed=9).to_json()) == first
+
+
+def test_no_cache_outlives_a_patched_x_matrix():
+    # chain and rotation factors are shared within one call only, and the
+    # splitting caches hold no generator matrix: outputs computed before,
+    # under and after the negative-control patch must not leak into each other
+    so, su = GroupSpec("so", 5, 3), GroupSpec("su", 5, 3)
+    roots_so = [parse_root(text, so) for text in ("L1-L2", "-L1-L2", "L3", "-L3")]
+    roots_su = [parse_root(text, su) for text in ("L2+L3", "-L1", "2L1")]
+    rng = np.random.default_rng(4)
+    chains = [(spec, r, relations.rand_param(spec, r, rng, invertible=True))
+              for spec, labels in ((so, roots_so), (su, roots_su)) for r in labels]
+    ab = (np.cos(0.4), np.sin(0.4))
+
+    def outputs():
+        return ([generators.w_matrix(spec, r, p) for spec, r, p in chains],
+                [generators.h_rot(so, 1, ab), generators.h_rot(su, 1, ab, "imag")],
+                [lyapunov.splitting(spec, [2.0, -1.0, 0.5]) for spec in (so, su)],
+                json.dumps([verify_all(spec, samples=2, seed=3) for spec in (so, su)]))
+
+    def same(a, b):
+        return all(np.array_equal(A, B) and A.dtype == B.dtype for A, B in zip(a, b))
+
+    ws, hs, splits, reports = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        _negate_opposite_factors(patch)
+        ws_bad, hs_bad, _, reports_bad = outputs()
+    assert not any(np.array_equal(A, B) for A, B in zip(ws + hs, ws_bad + hs_bad))
+    assert reports_bad != reports
+    ws2, hs2, splits2, reports2 = outputs()
+    assert same(ws, ws2) and same(hs, hs2) and reports2 == reports
+    for rep, rep2 in zip(splits, splits2):
+        for basis in ("stable_basis", "unstable_basis", "neutral_basis"):
+            assert same(getattr(rep, basis), getattr(rep2, basis))
+        with pytest.raises(ValueError):
+            rep.stable_basis[0][0, 0] = 1.0
+
+
+def test_commutator_path_hashes_no_label_or_spec(monkeypatch):
+    # stencils live on the labels and the root index is cached by the spec's
+    # fields, so the tables path never runs a dataclass-generated __hash__
+    spec = GroupSpec("su", 5, 3)
+    labels = [info.label for info in roots(spec)]
+    pairs = [(r, p) for r in labels for p in labels if not anti_proportional(r, p)]
+
+    def decompose_all(rng):
+        for r, p in pairs:
+            a, b = relations.rand_param(spec, r, rng), relations.rand_param(spec, p, rng)
+            commutator_decompose(spec, r, a, p, b)
+
+    decompose_all(np.random.default_rng(8))    # fills the caches
+    hashed = []
+    for cls in (RootLabel, GroupSpec):
+        generated = cls.__hash__
+        monkeypatch.setattr(cls, "__hash__",
+                            lambda self, h=generated: hashed.append(self) or h(self))
+    decompose_all(np.random.default_rng(9))
+    assert hashed == []
 
 
 def _recorded_calls(monkeypatch, name):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rigidkit.errors import (DegeneratePlane, NotRegular, ParseError, SizeMismatch,
-                             UnknownRoot)
+from rigidkit.errors import (DegeneratePlane, NotRegular, OutOfRange, ParseError,
+                             SizeMismatch, UnknownRoot)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
 from rigidkit.rootsystem import (RootLabel, embed, hyperplane_representatives,
                                  is_generic_plane, is_regular, is_root, multiplicity,
@@ -194,6 +194,19 @@ def test_generic_plane_brute_force_agreement():
 def test_generic_plane_degenerate():
     with pytest.raises(DegeneratePlane):
         is_generic_plane(GroupSpec("so", 4, 3), [1, 2, 3], [2, 4, 6])
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 2.0], [1.0, np.inf, 0.0],
+                                 [1e308, 1e308, -1e308]], ids=["nan", "inf", "norm-overflow"])
+def test_non_finite_cartan_vectors_rejected(bad):
+    spec = GroupSpec("so", 4, 3)
+    for check in (is_regular, weyl_chamber):
+        with pytest.raises(OutOfRange):
+            check(spec, bad)
+    with pytest.raises(OutOfRange):
+        is_generic_plane(spec, bad, [0.0, 1.0, 0.0])
+    with pytest.raises(OutOfRange):
+        is_generic_plane(spec, [0.0, 1.0, 0.0], bad)
 
 
 def test_generic_plane_json():
