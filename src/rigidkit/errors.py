@@ -73,13 +73,5 @@ class SideConditionViolated(RigidkitError):
     pass
 
 
-class PairingMismatch(RigidkitError):
-    pass
-
-
-class NoSolution(RigidkitError):
-    pass
-
-
 class CertificationError(RigidkitError):
     """An internal consistency check that should always pass did not."""

@@ -340,7 +340,8 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         raise VariantUnsupported("the imaginary variant exists only for the unitary family")
     if not (1 <= j <= spec.tail - 1):
         raise OutOfRange(f"need 1 <= j <= m-n-1 = {spec.tail - 1}, got j={j}")
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+    # written so that a NaN in a or b fails it
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:
         raise NotOnSphere(f"(a, b) must satisfy |a|^2 + |b|^2 = 1, got {ab}")
     if not spec.unitary and (isinstance(a, complex) or isinstance(b, complex)):
         raise VariantUnsupported("orthogonal rotations take real (a, b)")

@@ -24,8 +24,8 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (DecompositionResidual, NoSolution, NotOnSphere, OppositeRoots,
-                     PairingMismatch, SideConditionViolated, UnknownSuite)
+from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
+                     UnknownSuite)
 from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
                          nilpotent_log)
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
@@ -243,7 +243,7 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
 
 
 # ---------------------------------------------------------------------------
-# trace pairing, SU(2) transporter, pair refactoring
+# trace pairing
 
 
 def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
@@ -259,211 +259,16 @@ def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
     for v in (a, b):
         if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > max(tol.rel, ROUNDING):
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
-    C = _reflection_pair(spec, 1, a, b)[2 * spec.n:, 2 * spec.n:]
+    w = partial(_chain, spec, parse_label(f"L{spec.n}", spec.n))
+    tail = (w(np.sqrt(2.0) * a) @ w(np.sqrt(2.0) * b))[2 * spec.n:, 2 * spec.n:]
     lhs = 4.0 * abs(np.vdot(b, a)) ** 2 + spec.tail - 4.0
-    rhs = float(np.trace(C).real)
+    rhs = float(np.trace(tail).real)
     return lhs, rhs
-
-
-def su2_transporter(a_pair, b_pair, c_pair, d_pair, tol: Tolerance = DEFAULT_TOL):
-    """Unit scalar g and h in SU(2) with h a = g c and h b = g d.
-
-    Requires <a,b> = <c,d> (Hermitian pairing); built constructively by
-    first rotating c to (1, 0).
-    """
-    a = np.asarray(a_pair, dtype=complex)
-    b = np.asarray(b_pair, dtype=complex)
-    c = np.asarray(c_pair, dtype=complex)
-    d = np.asarray(d_pair, dtype=complex)
-    pair_ab = complex(np.vdot(b, a))
-    pair_cd = complex(np.vdot(d, c))
-    if abs(pair_ab - pair_cd) > tol.rel:
-        raise PairingMismatch(f"pairings differ: {pair_ab} vs {pair_cd}")
-    hc = np.array([[np.conj(c[0]), np.conj(c[1])], [-c[1], c[0]]])  # hc c = (1,0)
-    dp = hc @ d
-    wedge = a[0] * b[1] - a[1] * b[0]
-    if abs(dp[1]) < 1e-12:
-        g = 1.0 + 0j
-    else:
-        g2 = wedge / dp[1]
-        g2 = g2 / abs(g2)
-        g = np.sqrt(g2)
-    h0 = np.array([[np.conj(a[0]) * g, np.conj(a[1]) * g],
-                   [-a[1] * np.conj(g), a[0] * np.conj(g)]])
-    h = hc.conj().T @ h0
-    return complex(g), h
-
-
-def _refl_block(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.eye(len(x), dtype=complex) - 2.0 * np.outer(np.conj(x), x) / float(np.vdot(x, x).real)
-
-
-# the i-rotation shape of a unitary lead is D g1 for the fixed diagonal D = diag(1, i)
-_D = np.array([1.0, 1j])
-
-
-def _g1(c: float, d: float) -> np.ndarray:
-    return np.array([np.cos(c) * np.cos(d) - 1j * np.sin(c) * np.sin(d),
-                     np.cos(c) * np.sin(d) - 1j * np.sin(c) * np.cos(d)])
-
-
-def _eig_minus_one_line(N: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(N)
-    return np.conj(vecs[:, int(np.argmin(vals))])
-
-
-def _line_to_g1(x: np.ndarray):
-    """Angles (c, d) with g1(c, d) on the complex line of x, by case analysis."""
-    x1, x2 = x
-    w = x1 * x1 - x2 * x2
-    cands = []
-    if abs(w) < 1e-12:
-        z0 = np.conj(x1) / abs(x1) if abs(x1) > 1e-7 else np.conj(x2) / abs(x2)
-        cands.append((z0, 0.0))
-    else:
-        for sgn in (1.0, -1.0):
-            z = np.sqrt(sgn * np.conj(w) / abs(w))
-            for zz in (z, -z):
-                zx1, zx2 = zz * x1, zz * x2
-                if abs(zx1.imag) + abs(zx2.real) > 1e-14:
-                    cands.append((zz, float(np.arctan2(-zx1.imag, zx2.real))))
-                else:
-                    cands.append((zz, 0.0))
-    best = None
-    Ri = lambda t: np.array([[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]])
-    for zz, c in cands:
-        v = Ri(-c) @ (zz * np.asarray(x))
-        res = abs(v[0].imag) + abs(v[1].imag)
-        if best is None or res < best[0]:
-            best = (res, c, float(np.arctan2(v[1].real, v[0].real)))
-    return best[1], best[2]
-
-
-def wpair_refactor(spec: GroupSpec, j: int, lead, trail_angle: float, direction: str,
-                   tol: Tolerance = DEFAULT_TOL):
-    """Rewrite a pair of vector reflections with the prescribed shape exchange.
-
-    Orthogonal (lead is a unit triple on S^2, slots j..j+2): the trailing
-    factor moves between the (j, j+1) plane ("to_imag" input shape
-    (cos x, sin x, 0)) and the (j+1, j+2) plane (output (0, cos y, sin y));
-    "to_real" is the reverse.  Unitary (lead is an angle pair): the trailing
-    factor moves between real-rotation and i-rotation shape.  The returned
-    pair is certified to have the same matrix product as the input pair.
-    """
-    if direction not in ("to_imag", "to_real"):
-        raise NoSolution(f"direction must be 'to_imag' or 'to_real', got {direction!r}")
-    if spec.unitary:
-        return _wpair_su(spec, j, lead, trail_angle, direction, tol)
-    return _wpair_so(spec, j, lead, trail_angle, direction, tol)
 
 
 def _chain(spec: GroupSpec, root: RootLabel, value, t: float = 0.0) -> np.ndarray:
     """Chain element of ``root`` at the raw parameter ``value`` (see as_param)."""
     return w_matrix(spec, root, as_param(spec, root, value, t))
-
-
-def _reflection_pair(spec: GroupSpec, j: int, x, y) -> np.ndarray:
-    """w(sqrt2 x) w(sqrt2 y) on L_n, with x and y placed from tail slot j on."""
-    vec = parse_label(f"L{spec.n}", spec.n)
-
-    def w(local):
-        full = np.zeros(spec.tail, dtype=complex)
-        full[j - 1:j - 1 + len(local)] = local
-        return _chain(spec, vec, np.sqrt(2.0) * full)
-    return w(x) @ w(y)
-
-
-def _wpair_so(spec, j, lead, trail_angle, direction, tol):
-    if spec.tail < 3:
-        raise SideConditionViolated("orthogonal pair refactoring needs m - n >= 3")
-    if not (1 <= j <= spec.tail - 2):
-        raise SideConditionViolated(f"need 1 <= j <= m-n-2 = {spec.tail - 2}")
-    u = np.asarray(lead, dtype=float)
-    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > max(tol.rel, ROUNDING):
-        raise NotOnSphere("orthogonal lead must be a unit triple")
-    x = float(trail_angle)
-    if direction == "to_imag":
-        v = np.array([np.cos(x), np.sin(x), 0.0])
-        kill = 0   # output trailing vector has zero first slot
-    else:
-        v = np.array([0.0, np.cos(x), np.sin(x)])
-        kill = 2
-    cos_uv = float(u @ v)
-    if abs(abs(cos_uv) - 1.0) < 1e-12:
-        # collinear inputs: both products are the identity
-        w = np.array([0.0, -1.0, 0.0]) if direction == "to_imag" else np.array([-1.0, 0.0, 0.0])
-        d = -w
-    else:
-        e1 = u.copy()
-        e2 = v - (v @ e1) * e1
-        e2 /= np.linalg.norm(e2)
-        alpha, beta = -e2[kill], e1[kill]
-        w = alpha * e1 + beta * e2
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            w = e1.copy()
-        else:
-            w = w / nw
-        ang_u = np.arctan2(u @ e2, u @ e1)
-        ang_v = np.arctan2(v @ e2, v @ e1)
-        ang_w = np.arctan2(w @ e2, w @ e1)
-        theta = ang_u - ang_v
-        d = np.cos(ang_w + theta) * e1 + np.sin(ang_w + theta) * e2
-    yp = float(np.arctan2(w[2], w[1])) if direction == "to_imag" else float(np.arctan2(w[1], w[0]))
-    L = _reflection_pair(spec, j, u, v)
-    wp = np.array([0.0, np.cos(yp), np.sin(yp)]) if direction == "to_imag" \
-        else np.array([np.cos(yp), np.sin(yp), 0.0])
-    R = _reflection_pair(spec, j, d, wp)
-    resid = tol.residual(L, R)
-    if resid > tol.rel:
-        raise NoSolution(f"orthogonal pair refactoring failed certification: {resid:.3e}")
-    return tuple(float(t) for t in d), yp
-
-
-def _wpair_su(spec, j, lead, trail_angle, direction, tol):
-    if spec.tail < 2:
-        raise SideConditionViolated("unitary pair refactoring needs m - n >= 2")
-    if not (1 <= j <= spec.tail - 1):
-        raise SideConditionViolated(f"need 1 <= j <= m-n-1 = {spec.tail - 1}")
-    aa, bb = (float(lead[0]), float(lead[1]))
-    x = float(trail_angle)
-    if direction == "to_imag":
-        lead_vec = _D * _g1(aa, bb)
-        trail_vec = np.array([np.cos(x), np.sin(x)], dtype=complex)
-    else:
-        lead_vec = _g1(aa, bb)
-        trail_vec = np.array([np.cos(x), 1j * np.sin(x)])
-    M = _refl_block(lead_vec) @ _refl_block(trail_vec)
-    al, be = M[0, 0], M[0, 1]
-    if direction == "to_imag":
-        two_y = float(np.arctan2(al.imag, be.real))
-    else:
-        two_y = float(np.arctan2(-al.imag, be.imag))
-    N = None
-    for cand in (two_y, two_y + np.pi):
-        yp = cand / 2.0
-        out_vec = np.array([np.cos(yp), 1j * np.sin(yp)]) if direction == "to_imag" \
-            else np.array([np.cos(yp), np.sin(yp)], dtype=complex)
-        Nc = M @ _refl_block(out_vec)
-        if np.linalg.norm(Nc - Nc.conj().T) < 1e-8:
-            N = Nc
-            break
-    if N is None:
-        raise NoSolution("no Hermitian completion found for the trailing factor")
-    line = _eig_minus_one_line(N)
-    if direction == "to_imag":
-        c, d = _line_to_g1(line)
-        new_lead_vec = _g1(c, d)
-    else:
-        c, d = _line_to_g1(np.conj(_D) * line)
-        new_lead_vec = _D * _g1(c, d)
-    L = _reflection_pair(spec, j, lead_vec, trail_vec)
-    R = _reflection_pair(spec, j, new_lead_vec, out_vec)
-    resid = tol.residual(L, R)
-    if resid > tol.rel:
-        raise NoSolution(f"unitary pair refactoring failed certification: {resid:.3e}")
-    return (float(c), float(d)), float(yp)
 
 
 # ---------------------------------------------------------------------------

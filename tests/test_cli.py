@@ -100,6 +100,25 @@ def test_genplane_command(capsys):
     assert json.loads(out) == {"generic": False, "witness": ["L3"]}
 
 
+# independent vectors whose Gram products over- or underflow in floats: the
+# second pair is the plane of `genplane --v1 1,2,6 --v2 3,-1,2` at scale 1e-200
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v1,v2", [("1e100,1,0", "0,1,1e100"),
+                                   ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200")],
+                         ids=["huge", "tiny"])
+def test_genplane_extreme_scales(capsys, v1, v2):
+    code, out, err = run(capsys, "genplane", "--v1", v1, "--v2", v2)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v1,v2", [("1,2,3", "2,4,6"), ("0,0,0", "1,2,3")],
+                         ids=["proportional", "zero"])
+def test_genplane_dependent_exit_2(capsys, v1, v2):
+    err = _exit_2_one_line(capsys, "genplane", "--v1", v1, "--v2", v2)
+    assert "linearly dependent" in err
+
+
 def test_normalform_command(tmp_path, capsys):
     theta = 0.75
     B = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],

@@ -378,6 +378,14 @@ def test_h_rot_errors():
         h_rot(SO53, 1, (1.0, 0.0), "imag")
 
 
+@pytest.mark.parametrize("ab", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)],
+                         ids=["nan-a", "nan-b", "nan-both"])
+def test_h_rot_rejects_nan(ab):
+    # a NaN makes |a|^2 + |b|^2 - 1 compare false against any bound
+    with pytest.raises(NotOnSphere):
+        h_rot(GroupSpec("su", 5, 3), 1, ab)
+
+
 def test_closed_form_example_so_sum():
     pd = w_closed_form(SO43, parse_root("L1+L2", SO43), Scalar(2.0))
     assert pd.perm == (5, 4, 3, 2, 1, 6, 7)

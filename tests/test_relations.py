@@ -1,21 +1,19 @@
-import itertools
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from rigidkit.errors import (DecompositionResidual, NoSolution, NotOnSphere, OppositeRoots,
-                             PairingMismatch, SideConditionViolated, UnknownSuite)
-from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity
+from rigidkit.errors import (DecompositionResidual, NotOnSphere, OppositeRoots,
+                             SideConditionViolated, UnknownSuite)
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
 from rigidkit.rootsystem import RootLabel, parse_root, roots
 from rigidkit import generators, lyapunov, relations
 from rigidkit.cli import main as cli_main
-from rigidkit.relations import (anti_proportional, commutator_decompose,
-                                run_suite, su2_transporter,
-                                suite_ids, suite_side_condition, trace_pairing,
-                                verify_all, wpair_refactor)
+from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
+                                suite_ids, suite_side_condition, trace_pairing, verify_all)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "commutators.json"
 GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
@@ -431,6 +429,58 @@ def test_verify_all_covers_registry():
     assert report["pass"]
 
 
+def _relations_functions():
+    """Code object -> qualified name of every function and method written in
+    relations.py (dataclass-generated dunders are compiled elsewhere)."""
+    found = {}
+
+    def collect(namespace):
+        for value in vars(namespace).values():
+            if isinstance(value, type) and value.__module__ == relations.__name__:
+                collect(value)
+                continue
+            func = value.fget if isinstance(value, property) else value
+            func = getattr(func, "__wrapped__", func)   # lru_cache
+            code = getattr(func, "__code__", None)
+            if code is not None and code.co_filename == relations.__file__:
+                found[code] = func.__qualname__
+    collect(relations)
+    return found
+
+
+def test_verify_all_reaches_every_function(monkeypatch):
+    # a construction in relations.py is checked by verify-all or is retired; two
+    # samples cover both braid directions, SU(3,3) the k = 0 return of conj-su,
+    # and the negative-control run the failure path
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    # a cached function runs its body only on a miss, so its cache starts empty
+    for value in vars(relations).values():
+        if hasattr(value, "cache_clear") and value.__module__ == relations.__name__:
+            value.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for spec in (GroupSpec("so", 6, 3), GroupSpec("su", 6, 3), SU33):
+            verify_all(spec, samples=2)
+        _negate_opposite_factors(monkeypatch)
+        verify_all(GroupSpec("so", 6, 3), samples=2)
+    finally:
+        sys.setprofile(previous)
+    # suite_ids is the CLI's list of suites, and CommutatorTable.to_json writes
+    # the tables of acceptance criterion 4 and tests/golden/commutators.json
+    exempt = {"suite_ids", "CommutatorTable.to_json"}
+    functions = _relations_functions()
+    # methods, properties and cached functions are collected too
+    assert {"_Words.get", "SuiteReport.passed", "_root_labels",
+            "run_suite"} <= set(functions.values())
+    missed = {name for code, name in functions.items() if code not in entered}
+    assert missed <= exempt, sorted(missed - exempt)
+
+
 def test_suites_pass_small_samples():
     for spec in (GroupSpec("so", 6, 3), GroupSpec("su", 6, 3)):
         for sid in suite_ids():
@@ -471,124 +521,3 @@ def test_trace_pairing_errors():
         trace_pairing(GroupSpec("su", 3, 3), np.zeros(0), np.zeros(0))
     with pytest.raises(SideConditionViolated):
         trace_pairing(GroupSpec("so", 5, 3), np.array([1.0, 0]), np.array([1.0, 0]))
-
-
-# ---------------------------------------------------------------------------
-# SU(2) transporter
-
-
-def test_su2_transporter_identity_case():
-    a, b = (1.0 + 0j, 0j), (0j, 1.0 + 0j)
-    g, h = su2_transporter(a, b, a, b)
-    assert abs(abs(g) - 1) < 1e-12
-    assert np.allclose(h @ np.array(a), g * np.array(a))
-    assert np.allclose(h @ np.array(b), g * np.array(b))
-    assert abs(np.linalg.det(h) - 1) < 1e-12
-
-
-def test_su2_transporter_swap_case():
-    a, b = np.array([1.0, 0j]), np.array([0j, 1.0])
-    c, d = np.array([0j, 1.0]), np.array([1.0, 0j])
-    g, h = su2_transporter(a, b, c, d)
-    assert np.allclose(h @ a, g * c)
-    assert np.allclose(h @ b, g * d)
-    assert abs(np.linalg.det(h) - 1) < 1e-12
-    assert DEFAULT_TOL.close(h.conj().T @ h, np.eye(2, dtype=complex))
-
-
-def test_su2_transporter_random():
-    rng = np.random.default_rng(55)
-    for i in range(1000):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b /= np.linalg.norm(b)
-        # admissible target pair: rotate both by a random SU(2) and phase
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        U = np.array([[q[0] + 1j * q[3], q[1] + 1j * q[2]],
-                      [-q[1] + 1j * q[2], q[0] - 1j * q[3]]])
-        phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        c, d = phase * (U @ a), phase * (U @ b)
-        g, h = su2_transporter(a, b, c, d)
-        assert np.linalg.norm(h @ a - g * c) < 1e-9
-        assert np.linalg.norm(h @ b - g * d) < 1e-9
-        assert abs(np.linalg.det(h) - 1) < 1e-9
-
-
-def test_su2_transporter_pairing_mismatch():
-    with pytest.raises(PairingMismatch):
-        su2_transporter((1.0 + 0j, 0j), (1.0 + 0j, 0j), (1.0 + 0j, 0j), (0j, 1.0 + 0j))
-
-
-def test_su2_transporter_applies_its_tolerance():
-    # <a,b> and <c,d> differ by 5e-9: above the default 1e-9, below 1e-7
-    a, b = (1.0 + 0j, 0j), (0.6 + 0j, 0.8 + 0j)
-    d = (0.6 + 5e-9 + 0j, 0.8 + 0j)
-    with pytest.raises(PairingMismatch):
-        su2_transporter(a, b, a, d)
-    g, h = su2_transporter(a, b, a, d, Tolerance(1e-7))
-    assert abs(abs(g) - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# pair refactoring
-
-
-def test_wpair_so_zero_angle():
-    spec = GroupSpec("so", 6, 3)
-    lead, trail = wpair_refactor(spec, 1, (1.0, 0.0, 0.0), 0.0, "to_imag")
-    assert abs(np.linalg.norm(lead) - 1.0) < 1e-9
-
-
-def test_wpair_so_random_certified():
-    spec = GroupSpec("so", 6, 3)
-    rng = np.random.default_rng(66)
-    for _ in range(50):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        x = rng.uniform(-np.pi, np.pi)
-        lead, trail = wpair_refactor(spec, 1, tuple(u), x, "to_imag")
-        lead2, trail2 = wpair_refactor(spec, 1, tuple(u), x, "to_real")
-
-
-def test_wpair_so_side_condition():
-    with pytest.raises(SideConditionViolated):
-        wpair_refactor(SO43, 1, (1.0, 0.0, 0.0), 0.1, "to_imag")  # m - n = 1
-
-
-def test_wpair_su_random_certified():
-    spec = GroupSpec("su", 5, 3)
-    rng = np.random.default_rng(67)
-    for _ in range(50):
-        a, b, x = rng.uniform(0, 2 * np.pi, size=3)
-        lead, trail = wpair_refactor(spec, 1, (a, b), x, "to_imag")
-        lead2, trail2 = wpair_refactor(spec, 1, (a, b), x, "to_real")
-
-
-def _perturb_refactored_lead(monkeypatch):
-    """The certification's second pair, the refactored one, gets its lead scaled."""
-    pair = relations._reflection_pair
-    calls = itertools.count(1)
-
-    def perturbed(spec, j, x, y):
-        if next(calls) % 2 == 0:
-            x = np.asarray(x) * (1.0 + 1e-6)
-        return pair(spec, j, x, y)
-    monkeypatch.setattr(relations, "_reflection_pair", perturbed)
-
-
-@pytest.mark.parametrize("spec,lead", [(GroupSpec("so", 6, 3), (0.6, 0.0, 0.8)),
-                                       (GroupSpec("su", 5, 3), (0.4, 1.3))], ids=["so", "su"])
-@pytest.mark.parametrize("direction", ["to_imag", "to_real"])
-def test_wpair_refactor_certificate_can_fail(monkeypatch, spec, lead, direction):
-    _perturb_refactored_lead(monkeypatch)
-    with pytest.raises(NoSolution, match="failed certification"):
-        wpair_refactor(spec, 1, lead, 0.7, direction)
-    # the same residual is accepted under a tolerance it meets
-    wpair_refactor(spec, 1, lead, 0.7, direction, Tolerance(1e-3))
-
-
-def test_wpair_su_side_condition():
-    with pytest.raises(SideConditionViolated):
-        wpair_refactor(SU43, 1, (0.1, 0.2), 0.3, "to_imag")  # m - n = 1
