@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import UnknownRoot
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, in_group
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket, in_group
 from .rootsystem import cartan_vector, embed, is_root, root_space_basis, roots
 
 
@@ -134,7 +134,7 @@ def splitting(spec: GroupSpec, t, tol: Tolerance = DEFAULT_TOL) -> SplittingRepo
                            tuple(stable), tuple(unstable), tuple(neutral))
 
 
-def _rank_of_span(mats, size: int) -> int:
+def _rank_of_span(mats) -> int:
     if not mats:
         return 0
     rows = np.array([np.concatenate([M.real.reshape(-1), M.imag.reshape(-1)]) for M in mats])
@@ -152,8 +152,8 @@ def bracket_generation_check(spec: GroupSpec, include_brackets: bool = True):
     if include_brackets:
         for a in range(len(vectors)):
             for b in range(a + 1, len(vectors)):
-                mats.append(vectors[a] @ vectors[b] - vectors[b] @ vectors[a])
-    rank = _rank_of_span(mats, spec.size)
+                mats.append(bracket(vectors[a], vectors[b]))
+    rank = _rank_of_span(mats)
     return rank == dim_group(spec), rank
 
 

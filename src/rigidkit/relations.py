@@ -32,7 +32,7 @@ from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, hei
                          param_add, param_neg, param_to_json, rot_from_angle,
                          w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
-from .words import su2_euler
+from .words import staircase_rows, su2_euler, su2_words
 
 INV = np.linalg.inv
 
@@ -65,6 +65,13 @@ def _unit_vec(rng, k, cx=False):
 
 def _angle(rng):
     return float(rng.uniform(-np.pi, np.pi))
+
+
+def _rand_su2(rng):
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    x, y, z, w = q
+    return np.array([[x + 1j * w, y + 1j * z], [-y + 1j * z, x - 1j * w]])
 
 
 def rand_param(spec: GroupSpec, root: RootLabel, rng, invertible: bool = False):
@@ -269,65 +276,6 @@ def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
 def _chain(spec: GroupSpec, root: RootLabel, value, t: float = 0.0) -> np.ndarray:
     """Chain element of ``root`` at the raw parameter ``value`` (see as_param)."""
     return w_matrix(spec, root, as_param(spec, root, value, t))
-
-
-# ---------------------------------------------------------------------------
-# Euler-angle exchange helpers for the braid suite
-
-
-# near gimbal lock the generic formulas read the outer factors off entries of size
-# s = |sin| of the middle angle and lose digits like eps/s (SU: eps/s^2); below
-# this s the lock branches split them off M instead, which holds for any s
-_LOCK = 1e-3
-
-
-def _so3_euler_bab(M):
-    """Angles with M = B(b1) A(a2) B(b3); A rotates (1,2), B rotates (2,3)."""
-    ca = float(np.clip(M[0, 0].real, -1.0, 1.0))
-    sa = np.sqrt(max(0.0, 1.0 - ca * ca))
-    b3 = float(np.arctan2(M[0, 2].real, -M[0, 1].real))
-    if sa < _LOCK:
-        # B(b1) e3 is the third column of M B(b3)^-1
-        col = np.sin(b3) * M[:, 1].real + np.cos(b3) * M[:, 2].real
-        a2 = float(np.arctan2(np.hypot(M[0, 1].real, M[0, 2].real), ca))
-        return float(np.arctan2(-col[1], col[2])), a2, b3
-    a2 = float(np.arctan2(sa, ca))
-    b1 = float(np.arctan2(M[2, 0].real, M[1, 0].real))
-    return b1, a2, b3
-
-
-def _su2_completion(M):
-    """Blocks (U, V, W) with M = U(23) V(12) W(23) for M in the product set."""
-    al = M[0, 0]
-    ssq = 1.0 - abs(al) ** 2
-    lock = ssq < _LOCK ** 2
-    s = float(np.linalg.norm(M[0, 1:])) if lock else np.sqrt(ssq)
-    wrow = M[0, 1:] / s if s > 0 else np.array([1.0, 0.0])
-    W = np.array([[wrow[0], wrow[1]], [-np.conj(wrow[1]), np.conj(wrow[0])]])
-    V = np.array([[al, s], [-s, np.conj(al)]])
-    if lock:
-        # (0, U e2) is the last column of M diag(1, W)^-1
-        u = M[1:, 1:] @ np.array([-wrow[1], wrow[0]])
-        U = np.array([[np.conj(u[1]), u[0]], [-np.conj(u[0]), u[1]]])
-    else:
-        ucol = -np.array([M[1, 0], M[2, 0]]) / s
-        U = np.array([[ucol[0], -np.conj(ucol[1])], [ucol[1], np.conj(ucol[0])]])
-    return U, V, W
-
-
-def _rand_su2(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    x, y, z, w = q
-    return np.array([[x + 1j * w, y + 1j * z], [-y + 1j * z, x - 1j * w]])
-
-
-def _su2_block_word(spec, i, V):
-    """Realize an SU(2) tail block at plane (i, i+1) by rotation words."""
-    p1, p2, p3 = su2_euler(V)
-    return (rot_from_angle(spec, i, p1, "real")
-            @ rot_from_angle(spec, i, p2, "imag")
-            @ rot_from_angle(spec, i, p3, "real"))
 
 
 # ---------------------------------------------------------------------------
@@ -623,31 +571,33 @@ def _symbol_circle(spec, rng, i, tol):
     yield "{cd, -cd} = id", sym(cd, (-cd[0], -cd[1])), I, inputs
 
 
-def _flip2(U):
-    """Conjugate an SU(2) block by the coordinate flip inside the 3-window."""
-    F = np.array([[0, 1], [1, 0]], dtype=complex)
-    return F @ U @ F
-
-
 def _braid(spec, rng, i, tol):
     j = int(rng.integers(1, spec.tail - 1))
-    # P swaps the window's outer planes (P A(t) P = B(t) for SO), so the reverse
-    # exchange is the forward one of the flipped window, its factors mapped back
     if spec.unitary:
-        draws = (_rand_su2(rng), _rand_su2(rng), _rand_su2(rng))
+        draws = tuple(su2_euler(_rand_su2(rng)) for _ in range(3))
         inputs = {"j": j, "dir": i % 2}
-        block, solve, back = partial(_su2_block_word, spec), _su2_completion, _flip2
-        P = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+
+        def block(p, angles):
+            a, b, c = su2_words(spec, p, angles)
+            return a @ b @ c
+        flip = lambda e: (e[0], -e[1], e[2])
     else:
         draws = tuple(_angle(rng) for _ in range(3))
         inputs = {"j": j, "angles": list(draws), "dir": i % 2}
-        block, solve, back = partial(rot_from_angle, spec), _so3_euler_bab, lambda t: t
-        P = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+        block, flip = partial(rot_from_angle, spec), lambda t: t
     p, q = (j, j + 1) if i % 2 == 0 else (j + 1, j)
     L = block(p, draws[0]) @ block(q, draws[1]) @ block(p, draws[2])
     lo = 2 * spec.n + j - 1
     window = L[lo:lo + 3, lo:lo + 3]
-    f1, f2, f3 = solve(window) if i % 2 == 0 else map(back, solve(P @ window @ P))
+    # the staircase of a 3-window W is W = A(e1) B(e2) A(e3), A rotating its plane
+    # (1, 2) and B its plane (2, 3); the signed flip P maps A(e) to B(flip(e)), so
+    # the forward exchange reads the factors of B A B off the staircase of P W P
+    if i % 2 == 0:
+        P = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+        (f1, f2), (f3,) = staircase_rows(P @ window @ P, spec.unitary)
+        f1, f2, f3 = flip(f1), flip(f2), flip(f3)
+    else:
+        (f1, f2), (f3,) = staircase_rows(window, spec.unitary)
     R = block(q, f1) @ block(p, f2) @ block(q, f3)
     name = "H^j H^j+1 H^j = H^j+1 H^j H^j+1" if i % 2 == 0 else "H^j+1 H^j H^j+1 = H^j H^j+1 H^j"
     yield name, L, R, inputs

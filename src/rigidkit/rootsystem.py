@@ -329,16 +329,16 @@ def is_generic_plane(spec: GroupSpec, v1, v2, tol: Tolerance = DEFAULT_TOL) -> G
     """
     v1 = cartan_vector(spec, v1, "plane vector")
     v2 = cartan_vector(spec, v2, "plane vector")
-    # |u1 ^ u2|^2 = det of the Gram matrix; dependence is scale-free, so each vector
-    # is scaled to largest entry 1 first: |u|^2 lies in [1, n] and cannot overflow or
-    # underflow to 0
+    # |u1 ^ u2|^2 = det of the Gram matrix; dependence and genericity are scale-free,
+    # so both are judged on each vector scaled to largest entry 1: |u|^2 lies in
+    # [1, n] and cannot overflow or underflow to 0
     u1, u2 = (v / np.max(np.abs(v)) if v.any() else v for v in (v1, v2))
     wedge_sq = (u1 @ u1) * (u2 @ u2) - (u1 @ u2) ** 2
     if wedge_sq <= (tol.rel ** 2) * (u1 @ u1) * (u2 @ u2):
         raise DegeneratePlane("v1 and v2 are linearly dependent")
     reps = hyperplane_representatives(spec)
-    restricted = [(r, np.array([root_value(r, v1), root_value(r, v2)])) for r in reps]
-    scale = tol.rel * (1.0 + max(np.linalg.norm(v1), np.linalg.norm(v2)))
+    restricted = [(r, np.array([root_value(r, u1), root_value(r, u2)])) for r in reps]
+    scale = tol.rel * (1.0 + max(np.linalg.norm(u1), np.linalg.norm(u2)))
     for r, pair in restricted:
         if np.linalg.norm(pair) <= scale:
             return GenericPlaneReport(False, (r,))

@@ -4,7 +4,8 @@ A word is a sequence of letters (root, parameter, exponent ±1); evaluation
 is the ordered product of generators.  The staircase machinery expresses a
 compact tail-block rotation as the descending product of adjacent-plane
 rotations (orthogonal: one angle per position; unitary: an Euler triple
-real/imag/real per position) and reconstructs it from rotation words.
+real/imag/real per position) and reconstructs it from rotation words; its
+unchecked Givens core also solves the braid exchange of the relation suites.
 """
 
 from __future__ import annotations
@@ -164,6 +165,14 @@ def su2_euler(V: np.ndarray) -> tuple:
     return _canon_angle(float(p1)), _canon_angle(p2), _canon_angle(float(p3))
 
 
+def su2_words(spec: GroupSpec, i: int, angles) -> tuple:
+    """The rotation words Rr(p1), Ri(p2), Rr(p3) in tail plane (i, i+1) of an
+    Euler triple (p1, p2, p3); their product realises the SU(2) block."""
+    p1, p2, p3 = angles
+    return (rot_from_angle(spec, i, p1, "real"), rot_from_angle(spec, i, p2, "imag"),
+            rot_from_angle(spec, i, p3, "real"))
+
+
 def _rr(psi: float) -> np.ndarray:
     c, s = np.cos(psi), np.sin(psi)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -190,20 +199,26 @@ def _check_tail_block(spec: GroupSpec, B: np.ndarray, tol: Tolerance) -> np.ndar
 
 
 def staircase_decompose(spec: GroupSpec, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Staircase:
-    """Factor B in SO(k) / SU(k) into the descending staircase pattern.
+    """Factor B in SO(k) / SU(k) into the descending staircase pattern."""
+    k = spec.tail
+    if k < 2:
+        raise OutOfRange(f"staircase needs m-n >= 2, got {k}")
+    return Staircase(spec.family, k, staircase_rows(_check_tail_block(spec, B, tol), spec.unitary))
+
+
+def staircase_rows(B: np.ndarray, unitary: bool) -> tuple:
+    """The staircase rows of a k x k block, which is not checked to be in the group.
 
     Column-peeling Givens elimination: the first row of factors carries the
     last column of B, the remainder recurses on the leading block.
     """
-    k = spec.tail
-    if k < 2:
-        raise OutOfRange(f"staircase needs m-n >= 2, got {k}")
-    B = _check_tail_block(spec, B, tol).copy()
+    B = np.array(B, dtype=complex)
+    k = B.shape[0]
     rows = []
     for r in range(k - 1):
         kk = k - r
         y = B[:kk, kk - 1].copy()
-        if spec.unitary:
+        if unitary:
             blocks = []
             for i in range(1, kk):
                 yi, yj = y[i - 1], y[i]
@@ -235,7 +250,7 @@ def staircase_decompose(spec: GroupSpec, B: np.ndarray, tol: Tolerance = DEFAULT
                 P = P @ _plane_embed(kk, i, _rr(psi))
         B[:kk, :kk] = P.conj().T @ B[:kk, :kk]
         rows.append(row)
-    return Staircase(spec.family, k, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
@@ -247,10 +262,8 @@ def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
     for row in stair.rows:
         for i, entry in enumerate(row, start=1):
             if spec.unitary:
-                p1, p2, p3 = entry
-                M = M @ rot_from_angle(spec, i, p1, "real")
-                M = M @ rot_from_angle(spec, i, p2, "imag")
-                M = M @ rot_from_angle(spec, i, p3, "real")
+                a, b, c = su2_words(spec, i, entry)
+                M = M @ a @ b @ c
             else:
                 M = M @ rot_from_angle(spec, i, entry)
     if not DEFAULT_TOL.close(M[:2 * spec.n, :2 * spec.n], identity(2 * spec.n)):

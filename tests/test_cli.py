@@ -100,15 +100,18 @@ def test_genplane_command(capsys):
     assert json.loads(out) == {"generic": False, "witness": ["L3"]}
 
 
-# independent vectors whose Gram products over- or underflow in floats: the
-# second pair is the plane of `genplane --v1 1,2,6 --v2 3,-1,2` at scale 1e-200
+# independent vectors whose Gram products over- or underflow in floats; the
+# last two are the plane of `genplane --v1 1,2,6 --v2 3,-1,2` (generic) at
+# scales 1e-12 and 1e-200, and the verdict does not depend on the scale
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("v1,v2", [("1e100,1,0", "0,1,1e100"),
-                                   ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200")],
-                         ids=["huge", "tiny"])
-def test_genplane_extreme_scales(capsys, v1, v2):
+@pytest.mark.parametrize("v1,v2,verdict", [
+    ("1e100,1,0", "0,1,1e100", "not generic; witness: L2"),
+    ("1e-12,2e-12,6e-12", "3e-12,-1e-12,2e-12", "generic"),
+    ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200", "generic")],
+    ids=["huge", "small", "tiny"])
+def test_genplane_extreme_scales(capsys, v1, v2, verdict):
     code, out, err = run(capsys, "genplane", "--v1", v1, "--v2", v2)
-    assert code == 0 and out and err == ""
+    assert code == 0 and out.strip() == verdict and err == ""
 
 
 @pytest.mark.filterwarnings("error")

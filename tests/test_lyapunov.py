@@ -95,7 +95,7 @@ def test_splitting_neutral_basis_is_independent():
     from rigidkit.lyapunov import _rank_of_span
     for spec in (SO43, SU33, GroupSpec("su", 5, 3), GroupSpec("so", 6, 3)):
         rep = splitting(spec, [3.0, 2.0, 1.0])
-        rank = _rank_of_span(list(rep.neutral_basis), spec.size)
+        rank = _rank_of_span(list(rep.neutral_basis))
         assert rank == rep.neutral_dim == zero_multiplicity(spec)
         # stable and unstable dimensions agree at regular points
         assert rep.stable_dim == rep.unstable_dim

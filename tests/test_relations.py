@@ -10,7 +10,7 @@ from rigidkit.errors import (DecompositionResidual, NotOnSphere, OppositeRoots,
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
 from rigidkit.rootsystem import RootLabel, parse_root, roots
-from rigidkit import generators, lyapunov, relations
+from rigidkit import generators, lyapunov, relations, words
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
                                 suite_ids, suite_side_condition, trace_pairing, verify_all)
@@ -183,22 +183,40 @@ def _su2_rotation(t):
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
 
 
+def _su2_imag(t):
+    return np.array([[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]])
+
+
+_J = np.array([[0, 1j], [1j, 0]])
+
+
 # draws whose exchange window is at gimbal lock: its corner entry has modulus 1
-# up to rounding; dir 0 is the forward exchange, dir 1 the reverse one
-@pytest.mark.parametrize("family,direction,draws", [
-    ("so", 0, (0.4, 0.0, -0.4)), ("so", 0, (0.4, np.pi, 0.4)), ("so", 0, (1.3, 0.0, -1.3)),
-    ("so", 1, (1.1, 0.0, -1.1)), ("so", 1, (1.1, np.pi, 1.1)), ("so", 1, (1.3, 0.0, -1.3)),
-    ("su", 0, (_su2_phase(0.7), _su2_rotation(0.7), _su2_phase(1.1))),
-    ("su", 1, (_su2_phase(0.4), _su2_rotation(0.7), _su2_phase(-1.1)))],
+# up to rounding; dir 0 is the forward exchange, dir 1 the reverse one.  The c2
+# draws instead give the exchange an SU(2) factor with a purely imaginary first
+# row, so words.su2_euler takes its c2 = 0 branch there
+@pytest.mark.parametrize("family,direction,draws,c2", [
+    ("so", 0, (0.4, 0.0, -0.4), False), ("so", 0, (0.4, np.pi, 0.4), False),
+    ("so", 0, (1.3, 0.0, -1.3), False), ("so", 1, (1.1, 0.0, -1.1), False),
+    ("so", 1, (1.1, np.pi, 1.1), False), ("so", 1, (1.3, 0.0, -1.3), False),
+    ("su", 0, (_su2_phase(0.7), _su2_rotation(0.7), _su2_phase(1.1)), False),
+    ("su", 1, (_su2_phase(0.4), _su2_rotation(0.7), _su2_phase(-1.1)), False),
+    ("su", 0, (_J, _su2_rotation(0.5), _J), True),
+    ("su", 1, (_J, _su2_rotation(0.5), _J), True),
+    ("su", 0, (_su2_imag(0.9), _su2_rotation(0.5), _su2_imag(0.2)), True),
+    ("su", 1, (_su2_imag(0.9), _su2_rotation(0.5), _su2_imag(0.2)), True)],
     ids=["so-fwd-0.4", "so-fwd-0.4-pi", "so-fwd-1.3", "so-rev-1.1", "so-rev-1.1-pi", "so-rev-1.3",
-         "su-fwd", "su-rev"])
-def test_braid_exchange_near_gimbal_lock(monkeypatch, family, direction, draws):
+         "su-fwd", "su-rev", "su-fwd-c2-J", "su-rev-c2-J", "su-fwd-c2-imag", "su-rev-c2-imag"])
+def test_braid_exchange_near_gimbal_lock(monkeypatch, family, direction, draws, c2):
     pending = iter(draws)
     monkeypatch.setattr(relations, "_angle", lambda rng: next(pending))
     monkeypatch.setattr(relations, "_rand_su2", lambda rng: next(pending))
+    first_rows = []
+    euler = words.su2_euler
+    monkeypatch.setattr(words, "su2_euler", lambda V: first_rows.append(V[0]) or euler(V))
     spec = GroupSpec(family, 6, 3)
     (_, L, R, _), = relations._braid(spec, np.random.default_rng(0), direction, DEFAULT_TOL)
     assert DEFAULT_TOL.residual(L, R) < 1e-12
+    assert not c2 or any(np.hypot(row[0].real, row[1].real) < 1e-12 for row in first_rows)
 
 
 # ---------------------------------------------------------------------------
