@@ -3,6 +3,10 @@
 Exponent tables with multiplicities, stable/unstable/neutral splittings,
 bracket generation of the tangent space, strict feasibility of stable
 cycles and membership in the neutral block group.
+
+Stable cycles are decided by least-distance programming (Lawson and Hanson,
+*Solving Least Squares Problems*, ch. 23) through one ``scipy.optimize.nnls``
+call, and a returned witness is sign-checked exactly on every cycle root.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 from .errors import UnknownRoot
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket, in_group
@@ -166,28 +170,32 @@ class CycleSpec:
             raise UnknownRoot("a cycle needs at least one root")
 
 
-def stable_cycle_feasible(spec: GroupSpec, cycle: CycleSpec, margin: float = 1e-9):
+def stable_cycle_feasible(spec: GroupSpec, cycle: CycleSpec):
     """Witness t with root(t) < 0 for every cycle root, or None.
 
-    Strict feasibility is decided by maximizing the margin eps subject to
-    root(t) <= -eps over the box |t|_inf <= 1; feasible iff the optimum
-    exceeds ``margin``.
+    With A the cycle's coefficient rows, the shortest t with A t <= -1 is
+    a least-distance program, solved as the NNLS problem u >= 0 minimizing
+    |E u - f| with E = [-A^T; 1^T] and f = e_{n+1}.  Its residual r has
+    r[-1] = -|r|^2, so the cycle is infeasible exactly when r = 0, and
+    otherwise t is a positive multiple of r[:n] = -A^T u.  That t is
+    scaled so that its largest cycle-root value is -1 (nnls may stop short
+    of the optimum) and returned only if every cycle root is negative at
+    it.  That test is exact: each root value is at most two exact products
+    with 1 or 2, rounded once, so its computed sign is its true sign at t.
     """
     for r in cycle.roots:
         if not is_root(spec, r):
             raise UnknownRoot(f"{r} is not a root of {spec}")
-    n = spec.n
-    A = np.array([list(r.coeffs) + [1.0] for r in cycle.roots], dtype=float)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximize eps
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 10.0)]
-    res = linprog(c, A_ub=A, b_ub=np.zeros(len(cycle.roots)), bounds=bounds, method="highs")
-    if not res.success:
+    A = np.array([r.coeffs for r in cycle.roots], dtype=float)
+    f = np.zeros(spec.n + 1)
+    f[-1] = 1.0
+    u, _ = nnls(np.vstack([-A.T, np.ones(len(A))]), f)
+    t = -A.T @ u
+    top = float((A @ t).max())
+    if not top < 0:
         return None
-    eps = res.x[-1]
-    if eps <= margin:
-        return None
-    return np.array(res.x[:n])
+    t = t / -top
+    return t if bool(np.all(A @ t < 0)) else None
 
 
 def neutral_membership(spec: GroupSpec, M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -147,22 +147,22 @@ def su2_euler(V: np.ndarray) -> tuple:
     """Euler angles (p1, p2, p3) with V = Rr(p1) Ri(p2) Rr(p3) in SU(2).
 
     Rr is the real rotation [[c,-s],[s,c]], Ri the imaginary rotation
-    [[c,-is],[-is,c]].  At gimbal lock the trailing angle is set to 0.
+    [[c,-is],[-is,c]].  At gimbal lock, a middle angle that is 0 or pi/2 in
+    floating point, V fixes only p1 + p3 or p3 - p1, and p3 is set to 0.
+    Short of that the generic formula holds, however close V is to a lock.
     """
     x, w = V[0, 0].real, V[0, 0].imag
     y, z = V[0, 1].real, V[0, 1].imag
-    c2 = float(np.hypot(x, y))
-    s2 = float(np.hypot(z, w))
-    p2 = float(np.arctan2(s2, c2))
-    if s2 < 1e-12:
-        return _canon_angle(float(np.arctan2(-y, x))), _canon_angle(p2), 0.0
-    if c2 < 1e-12:
-        return _canon_angle(float(np.arctan2(w, -z))), _canon_angle(p2), 0.0
+    p2 = _canon_angle(float(np.arctan2(np.hypot(z, w), np.hypot(x, y))))
+    if p2 == 0.0:
+        return _canon_angle(float(np.arctan2(-y, x))), p2, 0.0
+    if p2 == np.pi / 2:
+        return _canon_angle(float(np.arctan2(w, -z))), p2, 0.0
     sum13 = np.arctan2(-y, x)
     diff31 = np.arctan2(-w, -z)
     p1 = (sum13 - diff31) / 2.0
     p3 = (sum13 + diff31) / 2.0
-    return _canon_angle(float(p1)), _canon_angle(p2), _canon_angle(float(p3))
+    return _canon_angle(float(p1)), p2, _canon_angle(float(p3))
 
 
 def su2_words(spec: GroupSpec, i: int, angles) -> tuple:

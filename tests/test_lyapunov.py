@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -158,6 +160,57 @@ def test_stable_cycle_sampler_agreement():
                 assert not hits.any()
             else:
                 assert all(root_value(r, witness) < 0 for r in cycle.roots)
+
+
+def _chamber_points(n):
+    """One point inside each Weyl chamber of type BC_n: the signed
+    permutations of (1, ..., n).  No root vanishes on them."""
+    return np.array([np.array(perm) * np.array(signs)
+                     for perm in itertools.permutations(range(1, n + 1))
+                     for signs in itertools.product((1, -1), repeat=n)], dtype=float)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("so", 4, 4), GroupSpec("su", 5, 4)], ids=str)
+def test_stable_cycle_matches_chamber_oracle(spec):
+    # the feasible set is an open cone cut out by root hyperplanes, so it is
+    # nonempty exactly when it holds a whole chamber, hence a chamber point;
+    # every cycle (multiset) of length <= 3 is checked, in integer arithmetic;
+    # a witness's largest cycle-root value is -1 up to rounding
+    points = _chamber_points(spec.n)
+    labels = [info.label for info in roots(spec)]
+    feasible = 0
+    for length in (1, 2, 3):
+        for cyc in itertools.combinations_with_replacement(labels, length):
+            A = np.array([r.coeffs for r in cyc], dtype=float)
+            expect = bool(np.any(np.all(points @ A.T < 0, axis=1)))
+            witness = stable_cycle_feasible(spec, CycleSpec(cyc))
+            assert (witness is not None) == expect, cyc
+            if witness is not None:
+                assert abs((A @ witness).max() + 1.0) <= 4 * np.finfo(float).eps, cyc
+                feasible += 1
+    assert 0 < feasible
+
+
+def test_stable_cycle_rejects_a_bad_nnls_candidate(monkeypatch):
+    # u = e_1 gives the candidate t = -(L1 - L2) = (-1, 1, 0), which makes
+    # L1 - L2 and L1 negative but L2 - L3 positive: the gate must refuse it
+    cycle = CycleSpec(tuple(parse_root(s, SO43) for s in ("L1-L2", "L2-L3", "L1")))
+    assert stable_cycle_feasible(SO43, cycle) is not None
+    monkeypatch.setattr(lyapunov, "nnls", lambda E, f: (np.array([1.0, 0.0, 0.0]), 0.0))
+    assert stable_cycle_feasible(SO43, cycle) is None
+
+
+def test_stable_cycle_long_cycles():
+    # every root of SU(12,9) holds r and -r: infeasible; its positive half
+    # (first nonzero coefficient positive) is negative on -(9, 8, ..., 1)
+    spec = GroupSpec("su", 12, 9)
+    labels = [info.label for info in roots(spec)]
+    assert stable_cycle_feasible(spec, CycleSpec(tuple(labels))) is None
+    positive = tuple(r for r in labels if next(c for c in r.coeffs if c) > 0)
+    assert 2 * len(positive) == len(labels)
+    witness = stable_cycle_feasible(spec, CycleSpec(positive))
+    assert witness is not None
+    assert all(root_value(r, witness) < 0 for r in positive)
 
 
 def test_neutral_membership_examples():

@@ -197,6 +197,17 @@ def test_staircase_real_alphabet_rejects_complex_input():
         staircase_decompose(spec, B)
 
 
+def _euler_product(p1, p2, p3):
+    """Rr(p1) Ri(p2) Rr(p3) in SU(2)."""
+    c1, s1 = np.cos(p1), np.sin(p1)
+    c2, s2 = np.cos(p2), np.sin(p2)
+    c3, s3 = np.cos(p3), np.sin(p3)
+    Rr1 = np.array([[c1, -s1], [s1, c1]])
+    Ri2 = np.array([[c2, -1j * s2], [-1j * s2, c2]])
+    Rr3 = np.array([[c3, -s3], [s3, c3]])
+    return Rr1 @ Ri2 @ Rr3
+
+
 def test_su2_euler_random():
     rng = np.random.default_rng(10)
     for _ in range(200):
@@ -204,20 +215,23 @@ def test_su2_euler_random():
         q /= np.linalg.norm(q)
         V = np.array([[q[0] + 1j * q[3], q[1] + 1j * q[2]],
                       [-q[1] + 1j * q[2], q[0] - 1j * q[3]]])
-        p1, p2, p3 = su2_euler(V)
-        c1, s1 = np.cos(p1), np.sin(p1)
-        c2, s2 = np.cos(p2), np.sin(p2)
-        c3, s3 = np.cos(p3), np.sin(p3)
-        Rr1 = np.array([[c1, -s1], [s1, c1]])
-        Ri2 = np.array([[c2, -1j * s2], [-1j * s2, c2]])
-        Rr3 = np.array([[c3, -s3], [s3, c3]])
-        assert np.linalg.norm(Rr1 @ Ri2 @ Rr3 - V) < 1e-10
+        assert np.linalg.norm(_euler_product(*su2_euler(V)) - V) < 1e-10
+
+
+@pytest.mark.parametrize("middle", [lambda s: s, lambda s: np.pi / 2 - s],
+                         ids=["near-zero", "near-right-angle"])
+def test_su2_euler_round_trip_near_gimbal_lock(middle):
+    # the lock branches run only where the middle angle is 0 or pi/2 in
+    # floating point: one within 1e-16..1e-10 of a lock round-trips to a few ulps
+    mats = [_euler_product(0.3, middle(s), 1.2) for s in np.logspace(-16, -10, 61)]
+    worst = max(np.linalg.norm(_euler_product(*su2_euler(V)) - V) for V in mats)
+    assert worst < 4e-15
 
 
 @pytest.mark.parametrize("V", [np.diag([1j, -1j]), np.array([[0, 1j], [1j, 0]])],
                          ids=["diag", "antidiag"])
 def test_staircase_roundtrip_su_at_zero_real_part(V):
-    # both blocks have a first row with zero real part: su2_euler's c2 = 0 branch
+    # both blocks have a first row with zero real part: su2_euler's pi/2 lock branch
     spec = GroupSpec("su", 5, 3)
     stair = staircase_decompose(spec, V)
     assert DEFAULT_TOL.close(reconstruct(spec, stair), V)

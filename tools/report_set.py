@@ -45,3 +45,8 @@ for fam, specs in (("so", range(3, 7)), ("su", range(3, 6))):  # specs: the acce
         cli(f"normalform-{fam}{k}", "normalform", "--family", fam, "--k", str(k), "--matrix",
             f"block-{fam}{k}.json", "--json")
 cli("trace-pairing-su53", "trace-pairing", "--m", "5", "--n", "3", "--json")
+for name, fam, m, n, roots in (("so43-readme", "so", "4", "3", "L1-L2,L2-L3,L1"),
+                               ("so43-antipodal", "so", "4", "3", "L1-L2,L2-L1"),
+                               ("su54-chain", "su", "5", "4", "L1-L2,L2-L3,L3-L4,-2L1")):
+    cli(f"stable-cycle-{name}", "stable-cycle", "--family", fam, "--m", m, "--n", n,
+        "--roots", roots, "--json")
