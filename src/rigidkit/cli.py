@@ -30,10 +30,13 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(float(env)) if env else DEFAULT_TOL
 
 
-def _sample_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type: a decimal integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_spec_args(p):
@@ -43,8 +46,8 @@ def _add_spec_args(p):
 
 
 def _add_run_args(p):
-    p.add_argument("--samples", type=_sample_count, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
 

@@ -16,18 +16,26 @@ Parameter shapes per (family, root kind):
 
 from __future__ import annotations
 
-import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CertificationError, NotOnSphere, OutOfRange, ParseError, ShapeMismatch,
                      UnknownRoot, VariantUnsupported, ZeroParameter)
-from .matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, identity, in_group, json_complex,
-                         json_field, json_real)
+from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, identity, in_group,
+                         json_complex, json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
+# the largest parameter norm P.  The chain certificate forms triple products
+# (x0 y0 x1 and w D w^-1) whose outer factors have entries up to P^2 (the a0
+# entry -|a|^2/2 of a vector root) and whose middle factor has entries up to 1:
+# an entry sums MAX_SIZE^2 terms up to P^4, and a Frobenius norm sums the
+# squares of MAX_SIZE^2 entries, so MAX_SIZE^6 P^8 within the float range
+# leaves no step of the certificate to overflow
+PARAM_MAX = (sys.float_info.max / MAX_SIZE ** 6) ** 0.125
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,9 @@ def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
         if len(p.a) != spec.tail:
             raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(p.a)}")
         parts = (p.t, *p.a) if want is Heis else p.a
-    if not all(map(cmath.isfinite, parts)):
-        raise OutOfRange(f"parameter of root {root} must be finite, got {p}")
+    if not math.hypot(*map(abs, parts)) <= PARAM_MAX:   # written so that a NaN fails it
+        raise OutOfRange(f"parameter of root {root} must be finite with norm at most "
+                         f"{PARAM_MAX:.3g}, got {p}")
 
 
 def param_norm(p) -> float:

@@ -66,13 +66,17 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative Frobenius tolerance: A ~ B iff ||A-B||_F <= rel*(1+max norm)."""
+    """Relative Frobenius tolerance: A ~ B iff ||A-B||_F <= rel*(1+max norm).
+
+    rel lies strictly between 0 and 1: a normalised residual is below 2, and a
+    check whose failure reads 1.0 (such as "h_{2Ln}(-1) != id") must be able to fail.
+    """
 
     rel: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel) and self.rel > 0):
-            raise ValueError(f"tolerance must be finite and above 0, got {self.rel!r}")
+        if not 0 < self.rel < 1:   # written so that a NaN fails it
+            raise ValueError(f"tolerance must be above 0 and below 1, got {self.rel!r}")
 
     def close(self, A: np.ndarray, B: np.ndarray) -> bool:
         return self.residual(A, B) <= self.rel

@@ -29,10 +29,9 @@ from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideCond
 from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
                          nilpotent_log)
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
-                         param_add, param_neg, param_to_json, rot_from_angle,
-                         w_matrix, x_elem)
+                         param_add, param_neg, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
-from .words import staircase_rows, su2_euler, su2_words
+from .words import plane_word, staircase_rows, su2_euler
 
 INV = np.linalg.inv
 
@@ -576,15 +575,12 @@ def _braid(spec, rng, i, tol):
     if spec.unitary:
         draws = tuple(su2_euler(_rand_su2(rng)) for _ in range(3))
         inputs = {"j": j, "dir": i % 2}
-
-        def block(p, angles):
-            a, b, c = su2_words(spec, p, angles)
-            return a @ b @ c
         flip = lambda e: (e[0], -e[1], e[2])
     else:
         draws = tuple(_angle(rng) for _ in range(3))
         inputs = {"j": j, "angles": list(draws), "dir": i % 2}
-        block, flip = partial(rot_from_angle, spec), lambda t: t
+        flip = lambda t: t
+    block = partial(plane_word, spec)
     p, q = (j, j + 1) if i % 2 == 0 else (j + 1, j)
     L = block(p, draws[0]) @ block(q, draws[1]) @ block(p, draws[2])
     lo = 2 * spec.n + j - 1

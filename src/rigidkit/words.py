@@ -4,8 +4,12 @@ A word is a sequence of letters (root, parameter, exponent ±1); evaluation
 is the ordered product of generators.  The staircase machinery expresses a
 compact tail-block rotation as the descending product of adjacent-plane
 rotations (orthogonal: one angle per position; unitary: an Euler triple
-real/imag/real per position) and reconstructs it from rotation words; its
-unchecked Givens core also solves the braid exchange of the relation suites.
+real/imag/real per position) and reconstructs it from rotation words.  Both
+families share one path: a unitary Givens step per plane, applied in place,
+whose inverse is read through ``su2_euler`` (an orthogonal step is a real
+rotation, so only its first Euler angle is recorded), and one ``plane_word``
+per entry.  The unchecked Givens core also solves the braid exchange of the
+relation suites.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ def free_reduce(spec: GroupSpec, word) -> list:
 
     Adjacent letters with the same root, identical parameter and opposite
     exponents cancel; adjacent +1 letters on the same root merge through
-    parameter addition (scalar and vector shapes only).  Evaluation is
-    unchanged.
+    parameter addition (scalar and vector shapes only), and a merged
+    parameter is checked like a loaded one.  Evaluation is unchanged.
     """
     letters = list(word)
     changed = True
@@ -69,6 +73,7 @@ def free_reduce(spec: GroupSpec, word) -> list:
                 if (prev.root == letter.root and prev.exponent == 1 == letter.exponent
                         and not isinstance(letter.param, Heis)):
                     merged = param_add(spec, letter.root, prev.param, letter.param)
+                    check_param(spec, letter.root, merged)
                     out.pop()
                     if not is_zero_param(merged):
                         out.append(Letter(letter.root, merged, 1))
@@ -131,10 +136,7 @@ class Staircase:
     rows: tuple
 
     def to_json(self) -> dict:
-        if self.family == "so":
-            rows = [[float(a) for a in row] for row in self.rows]
-        else:
-            rows = [[[float(x) for x in triple] for triple in row] for row in self.rows]
+        rows = [np.asarray(row, dtype=float).tolist() for row in self.rows]
         return {"family": self.family, "k": self.k, "rows": rows}
 
 
@@ -165,23 +167,14 @@ def su2_euler(V: np.ndarray) -> tuple:
     return _canon_angle(float(p1)), p2, _canon_angle(float(p3))
 
 
-def su2_words(spec: GroupSpec, i: int, angles) -> tuple:
-    """The rotation words Rr(p1), Ri(p2), Rr(p3) in tail plane (i, i+1) of an
-    Euler triple (p1, p2, p3); their product realises the SU(2) block."""
-    p1, p2, p3 = angles
-    return (rot_from_angle(spec, i, p1, "real"), rot_from_angle(spec, i, p2, "imag"),
-            rot_from_angle(spec, i, p3, "real"))
-
-
-def _rr(psi: float) -> np.ndarray:
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _plane_embed(k: int, i: int, blk: np.ndarray) -> np.ndarray:
-    M = np.eye(k, dtype=complex)
-    M[i - 1:i + 1, i - 1:i + 1] = blk
-    return M
+def plane_word(spec: GroupSpec, i: int, entry) -> np.ndarray:
+    """The rotation word of one staircase entry in tail plane (i, i+1): Rr(angle)
+    for the orthogonal family, Rr(p1) Ri(p2) Rr(p3) for an Euler triple."""
+    if not spec.unitary:
+        return rot_from_angle(spec, i, entry)
+    p1, p2, p3 = entry
+    return (rot_from_angle(spec, i, p1, "real") @ rot_from_angle(spec, i, p2, "imag")
+            @ rot_from_angle(spec, i, p3, "real"))
 
 
 def _check_tail_block(spec: GroupSpec, B: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -189,8 +182,11 @@ def _check_tail_block(spec: GroupSpec, B: np.ndarray, tol: Tolerance) -> np.ndar
     if B.shape != (k, k):
         raise SizeMismatch(f"tail block must be {k}x{k}, got {B.shape}")
     B = np.asarray(B, dtype=complex)
-    if not spec.unitary and np.linalg.norm(B.imag) > tol.rel * (1 + np.linalg.norm(B)):
-        raise NotInGroup("orthogonal-family tail block must be real")
+    if not spec.unitary:
+        # an imaginary part within tolerance is dropped: the block is read by its real part
+        if np.linalg.norm(B.imag) > tol.rel * (1 + np.linalg.norm(B)):
+            raise NotInGroup("orthogonal-family tail block must be real")
+        B = B.real.astype(complex)
     if not tol.close(B.conj().T @ B, np.eye(k, dtype=complex)):
         raise NotInGroup("tail block is not orthogonal/unitary to tolerance")
     if abs(np.linalg.det(B) - 1.0) > 1e-7:
@@ -210,47 +206,28 @@ def staircase_rows(B: np.ndarray, unitary: bool) -> tuple:
     """The staircase rows of a k x k block, which is not checked to be in the group.
 
     Column-peeling Givens elimination: the first row of factors carries the
-    last column of B, the remainder recurses on the leading block.
+    last column of B, the remainder recurses on the leading block.  Each
+    step U = [[y_j, -y_i], [conj y_i, conj y_j]] / |y| zeroes y_i against
+    y_j in place and records U^-1 by its Euler angles; a real block gives a
+    real rotation U, whose middle and last angles are 0, so the orthogonal
+    family keeps the first angle only.
     """
     B = np.array(B, dtype=complex)
-    k = B.shape[0]
     rows = []
-    for r in range(k - 1):
-        kk = k - r
-        y = B[:kk, kk - 1].copy()
-        if unitary:
-            blocks = []
-            for i in range(1, kk):
-                yi, yj = y[i - 1], y[i]
-                nrm = float(np.hypot(abs(yi), abs(yj)))
-                if nrm < 1e-300:
-                    U = np.eye(2, dtype=complex)
-                else:
-                    U = np.array([[yj, -yi], [np.conj(yi), np.conj(yj)]], dtype=complex) / nrm
-                y[i - 1:i + 1] = U @ y[i - 1:i + 1]
-                blocks.append(U)
-            row = [su2_euler(U.conj().T) for U in blocks]
-            P = np.eye(kk, dtype=complex)
-            for i, U in enumerate(blocks, start=1):
-                P = P @ _plane_embed(kk, i, U.conj().T)
-        else:
-            angles = []
-            for i in range(1, kk):
-                yi, yj = y[i - 1].real, y[i].real
-                if np.hypot(yi, yj) < 1e-300:
-                    th = 0.0
-                else:
-                    th = float(np.arctan2(yi, yj))
-                    c, s = np.cos(th), np.sin(th)
-                    y[i - 1], y[i] = c * yi - s * yj, s * yi + c * yj
-                angles.append(_canon_angle(-th))
-            row = angles
-            P = np.eye(kk, dtype=complex)
-            for i, psi in enumerate(angles, start=1):
-                P = P @ _plane_embed(kk, i, _rr(psi))
-        B[:kk, :kk] = P.conj().T @ B[:kk, :kk]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    for kk in range(B.shape[0], 1, -1):
+        row = []
+        for i in range(1, kk):
+            yi, yj = B[i - 1, kk - 1], B[i, kk - 1]
+            nrm = float(np.hypot(abs(yi), abs(yj)))
+            if nrm < 1e-300:
+                U = np.eye(2, dtype=complex)
+            else:
+                U = np.array([[yj, -yi], [np.conj(yi), np.conj(yj)]]) / nrm
+            B[i - 1:i + 1, :kk] = U @ B[i - 1:i + 1, :kk]
+            euler = su2_euler(U.conj().T)
+            row.append(euler if unitary else euler[0])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
@@ -261,11 +238,7 @@ def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
     M = identity(spec.size)
     for row in stair.rows:
         for i, entry in enumerate(row, start=1):
-            if spec.unitary:
-                a, b, c = su2_words(spec, i, entry)
-                M = M @ a @ b @ c
-            else:
-                M = M @ rot_from_angle(spec, i, entry)
+            M = M @ plane_word(spec, i, entry)
     if not DEFAULT_TOL.close(M[:2 * spec.n, :2 * spec.n], identity(2 * spec.n)):
         raise NotInGroup("rotation words left the compact tail subgroup")
     return M[2 * spec.n:, 2 * spec.n:]

@@ -225,6 +225,26 @@ def test_non_finite_parameter_exit_2(capsys, param):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("root, m, param", [
+    ("L1-L2", 4, '{"t": 1e300}'), ("L1", 5, '{"a": [1e200, 1e200]}')], ids=["scalar", "vector"])
+def test_oversized_parameter_exit_2(capsys, root, m, param):
+    err = _exit_2_one_line(capsys, "chain", "--family", "so", "--m", str(m), "--n", "3",
+                           "--root", root, "--param", param)
+    assert "norm at most" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e308, 1e37], ids=["letters-oversized", "merge-oversized"])
+def test_reduce_oversized_merge_exit_2(tmp_path, capsys, t):
+    # 1e308 is refused as it is read; two letters of 1e37 pass, but their merge does not
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([{"root": "L1-L2", "param": {"t": t}}] * 2))
+    err = _exit_2_one_line(capsys, "reduce", "--family", "so", "--m", "4", "--n", "3",
+                           "--word", str(path))
+    assert "norm at most" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("lyapunov", "--t", "1,nan,2"), ("lyapunov", "--t", "1e308,1e308,-1e308"),
     ("genplane", "--v1", "1,inf,0", "--v2", "0,1,0")], ids=["nan", "norm-overflow", "inf"])
@@ -307,8 +327,10 @@ def test_tolerance_below_rounding_fails_the_suites(capsys, monkeypatch, command)
     assert doc["pass"] is False
 
 
-@pytest.mark.parametrize("tol, env", [("nan", None), ("-1", None), (None, "nan")],
-                         ids=["tol-nan", "tol-negative", "env-nan"])
+@pytest.mark.parametrize("tol, env", [("nan", None), ("-1", None), (None, "nan"), ("1", None),
+                                      ("1e300", None), (None, "1e3")],
+                         ids=["tol-nan", "tol-negative", "env-nan", "tol-one", "tol-huge",
+                              "env-above-one"])
 def test_invalid_tolerance_exit_2(capsys, monkeypatch, tol, env):
     if env is None:
         monkeypatch.delenv("RIGIDKIT_TOL", raising=False)
@@ -330,3 +352,13 @@ def test_samples_below_one_exit_2(capsys, command, samples):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "additivity"], ["verify-all"],
+                                     ["trace-pairing", "--m", "5"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_not_a_non_negative_integer_exit_2(capsys, command, seed):
+    code, out, err = run(capsys, *command, "--samples", "2", "--seed", seed, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err

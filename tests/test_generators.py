@@ -3,15 +3,15 @@ import pytest
 
 from rigidkit.errors import (NotOnSphere, OutOfRange, ShapeMismatch, VariantUnsupported,
                              ZeroParameter)
-from rigidkit.matrixcore import (DEFAULT_TOL, GroupSpec, basis_matrix,
+from rigidkit.matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, basis_matrix,
                                  exp_nilpotent, identity, in_group, nilpotent_log)
-from rigidkit.generators import (Cx, Heis, RVec, Scalar, h_elem, h_rot,
+from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_elem, h_rot,
                                  heis_compose, heis_read, param_add, param_from_json,
                                  param_neg, param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
 from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
 from rigidkit.relations import _extract_term, rand_param, rng_for
-from rigidkit import generators
+from rigidkit import generators, matrixcore
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -102,12 +102,45 @@ def test_x_shape_mismatch():
     (SO53, "L3", RVec((1.0, float("nan")))),
     (SU43, "L3", Heis(float("inf"), (1.0 + 0j,))),
     (SU43, "L3", Heis(0.5, (complex(float("nan"), 0.0),))),
-], ids=["scalar-inf", "scalar-nan", "cx-inf", "long-inf", "rvec-nan", "heis-t-inf", "heis-a-nan"])
+    # finite, but above PARAM_MAX
+    (SO43, "L1-L2", Scalar(1e300)),
+    (SO53, "L3", RVec((1e200, 1e200))),
+    (SU43, "L1-L2", Cx(complex(2e37, 0.0))),
+    (SU43, "2L3", Scalar(-1e38)),
+    (SU43, "L3", Heis(1.1e37, (1.1e37 + 0j,))),
+], ids=["scalar-inf", "scalar-nan", "cx-inf", "long-inf", "rvec-nan", "heis-t-inf", "heis-a-nan",
+        "scalar-huge", "rvec-norm-overflows", "cx-huge", "long-huge", "heis-norm-huge"])
 def test_non_finite_parameter_rejected(spec, root, p):
     label = parse_root(root, spec)
     for build in (x_elem, w_matrix, w_elem, w_closed_form):
         with pytest.raises(OutOfRange, match="finite"):
             build(spec, label, p)
+
+
+def _bound_cases():
+    so, su = GroupSpec("so", MAX_SIZE - 3, 3), GroupSpec("su", MAX_SIZE - 3, 3)
+    P, k = PARAM_MAX * (1.0 - 1e-15), so.tail
+    return [(so, "L1-L2", Scalar(P)), (so, "L1", RVec([P] + [0.0] * (k - 1))),
+            (so, "-L2", RVec([P / np.sqrt(k)] * k)), (su, "L1-L2", Cx(complex(0.6 * P, 0.8 * P))),
+            (su, "2L1", Scalar(-P)), (su, "L1", Heis(P, (0j,) * k)),
+            (su, "L2", Heis(0.0, (complex(P),) + (0j,) * (k - 1))),
+            (su, "-L1", Heis(0.6 * P, (complex(0.8 * P),) + (0j,) * (k - 1))),
+            (su, "L3", Heis(0.0, (complex(P, P) / np.sqrt(2 * k),) * k))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, root, p", _bound_cases(),
+                         ids=["so-pm", "so-vec", "so-vec-spread", "su-pm", "su-long", "su-heis-t",
+                              "su-heis-a", "su-heis-mixed", "su-heis-spread"])
+def test_chain_certificate_at_parameter_bound_does_not_overflow(monkeypatch, spec, root, p):
+    # at the largest accepted parameter and the largest spec, every matrix and
+    # every Frobenius norm of the certificate is finite (the verdict may be False)
+    norms = []
+    frobenius = matrixcore._frobenius
+    monkeypatch.setattr(matrixcore, "_frobenius", lambda X: norms.append(frobenius(X)) or norms[-1])
+    cert = w_elem(spec, parse_root(root, spec), p)
+    assert norms and all(np.isfinite(norms))
+    assert all(np.isfinite(M).all() for M in (cert.w, cert.x_i, cert.y_i, cert.x_next))
 
 
 def test_additivity_and_inverse():

@@ -157,7 +157,7 @@ def test_tolerance_scaling():
     assert not DEFAULT_TOL.close(np.eye(3), np.eye(3) + 1e-6)
 
 
-@pytest.mark.parametrize("rel", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("rel", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 2.0, 1e300])
 def test_tolerance_rejects_bad_rel(rel):
     with pytest.raises(ValueError):
         Tolerance(rel)

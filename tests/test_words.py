@@ -197,6 +197,30 @@ def test_staircase_real_alphabet_rejects_complex_input():
         staircase_decompose(spec, B)
 
 
+def test_staircase_so_reads_the_real_part_of_a_noisy_block():
+    # an imaginary part within tolerance is admitted; the rows are those of the
+    # real part, and the block round-trips
+    spec = GroupSpec("so", 7, 3)
+    rng = np.random.default_rng(11)
+    B = _rand_so(rng, 4)
+    noisy = B + 1e-11j * rng.normal(size=(4, 4))
+    stair = staircase_decompose(spec, noisy)
+    assert stair.rows == staircase_decompose(spec, B.real).rows
+    assert DEFAULT_TOL.close(reconstruct(spec, stair), B)
+
+
+@pytest.mark.parametrize("family, rows", [
+    ("so", ((-np.pi / 2, -np.pi / 2), (np.pi,))),
+    ("su", (((-np.pi / 2, 0.0, 0.0), (-np.pi / 2, 0.0, 0.0)), ((np.pi, 0.0, 0.0),)))])
+def test_staircase_permutation_block(family, rows):
+    # a cyclic permutation: the Givens steps meet exact zero pairs
+    spec = GroupSpec(family, 6, 3)
+    B = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    stair = staircase_decompose(spec, B)
+    assert stair.rows == rows
+    assert DEFAULT_TOL.close(reconstruct(spec, stair), B)
+
+
 def _euler_product(p1, p2, p3):
     """Rr(p1) Ri(p2) Rr(p3) in SU(2)."""
     c1, s1 = np.cos(p1), np.sin(p1)

@@ -44,6 +44,35 @@ for fam, specs in (("so", range(3, 7)), ("su", range(3, 6))):  # specs: the acce
             json.dump(block(fam, k), fh)
         cli(f"normalform-{fam}{k}", "normalform", "--family", fam, "--k", str(k), "--matrix",
             f"block-{fam}{k}.json", "--json")
+    # a cyclic permutation: the Givens steps meet exact zero pairs
+    with open(os.path.join(OUT, "block-perm3.json"), "w") as fh:
+        json.dump({"size": 3, "entries": [[float(c == (r + 2) % 3), 0.0] for r in range(3)
+                                          for c in range(3)]}, fh)
+    cli(f"normalform-{fam}-perm3", "normalform", "--family", fam, "--k", "3", "--matrix",
+        "block-perm3.json", "--json")
+    for m, n in ((4, 3), (5, 3), (5, 4)):
+        cli(f"roots-{fam}{m}{n}", "roots", "--family", fam, "--m", str(m), "--n", str(n), "--json")
+        cli(f"lyapunov-{fam}{m}{n}", "lyapunov", "--family", fam, "--m", str(m), "--n", str(n),
+            "--t", ",".join(str(n - i) for i in range(n)), "--json")
+    for name, v1, v2 in (("axes", "1,0,0", "0,1,0"), ("generic", "1,2,6", "3,-1,2")):
+        cli(f"genplane-{fam}-{name}", "genplane", "--family", fam, "--v1", v1, "--v2", v2, "--json")
+for name, fam, m, root, param in (
+        ("so43-pm", "so", 4, "L1-L2", '{"t": 1.5}'), ("so53-vec", "so", 5, "-L2", '{"a": [0.6, -0.8]}'),
+        ("su43-pm", "su", 4, "L2+L3", '{"z": [0.3, -1.1]}'), ("su43-long", "su", 4, "2L1", '{"t": -0.7}'),
+        ("su53-heis", "su", 5, "L1", '{"t": 0.4, "a": [[0.5, 0.1], [-0.2, 0.3]]}'),
+        ("su53-heis-t0", "su", 5, "-L3", '{"t": 0.0, "a": [[0.5, 0.1], [-0.2, 0.3]]}')):
+    cli(f"chain-{name}", "chain", "--family", fam, "--m", str(m), "--n", "3", f"--root={root}",
+        "--param", param, "--json")
+for fam, letters in (
+        ("so", [("L1-L2", {"t": 0.5}, 1), ("L1-L2", {"t": 0.5}, -1), ("L1-L2", {"t": 1.0}, 1),
+                ("L1-L2", {"t": 0.25}, 1), ("L3", {"a": [0.0]}, 1), ("L2+L3", {"t": 2.0}, -1)]),
+        ("su", [("L1-L2", {"z": [0.5, 1.0]}, 1), ("L1-L2", {"z": [-0.5, 0.5]}, 1),
+                ("L2", {"t": 0.5, "a": [[1.0, 0.0]]}, 1), ("L2", {"t": 0.5, "a": [[1.0, 0.0]]}, -1),
+                ("2L3", {"t": 1.0}, 1), ("2L3", {"t": -1.0}, 1), ("-2L1", {"t": 3.0}, 1)])):
+    with open(os.path.join(OUT, f"word-{fam}.json"), "w") as fh:
+        json.dump([{"root": r, "param": p, "exp": e} for r, p, e in letters], fh)
+    cli(f"reduce-{fam}", "reduce", "--family", fam, "--m", "4", "--n", "3", "--word",
+        f"word-{fam}.json", "--json")
 cli("trace-pairing-su53", "trace-pairing", "--m", "5", "--n", "3", "--json")
 for name, fam, m, n, roots in (("so43-readme", "so", "4", "3", "L1-L2,L2-L3,L1"),
                                ("so43-antipodal", "so", "4", "3", "L1-L2,L2-L1"),
