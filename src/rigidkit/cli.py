@@ -13,13 +13,34 @@ import json
 import os
 import sys
 
-from .errors import RigidkitError
+from .errors import ParseError, RigidkitError
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, load_matrix
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
 from .relations import run_suite, suite_ids, verify_all
 from .words import load_word, staircase_decompose, word_to_json, free_reduce
 from .lyapunov import CycleSpec, exponent_table, splitting, stable_cycle_feasible
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, raising a usage error as ParseError (one ``error:`` line from
+    ``main``) and reading a token that begins with a single '-' and is no option
+    as the value of a one-value option before it (``--root -L2``): argparse itself
+    reads only a plain negative number so, and half the root alphabet begins with '-'."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            action = self._option_string_actions.get(joined[-1]) if joined else None
+            if (action is not None and action.nargs is None and arg[:1] == "-"
+                    and arg[1:2] != "-" and arg not in self._option_string_actions):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _tolerance(args) -> Tolerance:
@@ -65,9 +86,9 @@ def _emit(args, obj, text_lines):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rigidkit",
-                                 description="Matrix constructions and relation checks "
-                                             "for SO+(m,n) and SU(m,n)")
+    ap = _Parser(prog="rigidkit",
+                 description="Matrix constructions and relation checks for SO+(m,n) and "
+                             "SU(m,n); an option value may begin with '-' (--root -L2)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="list the restricted roots with multiplicities")
@@ -260,13 +281,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit:   # --help
+        return 0
     except (RigidkitError, ValueError, OSError) as exc:   # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

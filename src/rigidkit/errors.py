@@ -25,10 +25,6 @@ class ParseError(RigidkitError):
     pass
 
 
-class NotRegular(RigidkitError):
-    pass
-
-
 class DegeneratePlane(RigidkitError):
     pass
 
@@ -71,7 +67,3 @@ class UnknownSuite(RigidkitError):
 
 class SideConditionViolated(RigidkitError):
     pass
-
-
-class CertificationError(RigidkitError):
-    """An internal consistency check that should always pass did not."""

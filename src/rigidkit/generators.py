@@ -3,7 +3,7 @@
 Every one-root generator has an exact closed form (the exponential series
 terminates at order two for these root spaces), so elements are assembled
 entry by entry rather than through a general exponential.  The test suite
-cross-checks the closed forms against ``matrixcore.exp_nilpotent``.
+cross-checks the closed forms against the terminating series of tests/reference.py.
 
 Parameter shapes per (family, root kind):
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CertificationError, NotOnSphere, OutOfRange, ParseError, ShapeMismatch,
-                     UnknownRoot, VariantUnsupported, ZeroParameter)
+from .errors import (NotOnSphere, OutOfRange, ParseError, ShapeMismatch, UnknownRoot,
+                     VariantUnsupported, ZeroParameter)
 from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, identity, in_group,
                          json_complex, json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, parse_label
@@ -315,18 +315,6 @@ def w_elem(spec: GroupSpec, root: RootLabel, p, tol: Tolerance = DEFAULT_TOL) ->
         rhs = embed(spec, reflection(root, e))
         ok = ok and tol.close(lhs, rhs)
     return ChainCertificate(w, X0, Y0, X1, ok)
-
-
-def h_elem(spec: GroupSpec, root: RootLabel, p1, p2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """h_root(p1, p2) = w(p1) w(p2)^-1, an element centralizing the Cartan."""
-    if is_zero_param(p1) or is_zero_param(p2):
-        raise ZeroParameter("h element needs two nonzero parameters")
-    h = w_matrix(spec, root, p1) @ np.linalg.inv(w_matrix(spec, root, p2))
-    for e in np.eye(spec.n):
-        D = embed(spec, e)
-        if not tol.close(h @ D, D @ h):
-            raise CertificationError(f"h element of {root} does not centralize the Cartan")
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Lyapunov combinatorics of the split Cartan action.
 
 Exponent tables with multiplicities, stable/unstable/neutral splittings,
-bracket generation of the tangent space, strict feasibility of stable
-cycles and membership in the neutral block group.
+bracket generation of the tangent space and strict feasibility of stable
+cycles.
 
 Stable cycles are decided by least-distance programming (Lawson and Hanson,
 *Solving Least Squares Problems*, ch. 23) through one ``scipy.optimize.nnls``
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import UnknownRoot
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket, in_group
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket
 from .rootsystem import cartan_vector, embed, is_root, root_space_basis, roots
 
 
@@ -197,37 +197,3 @@ def stable_cycle_feasible(spec: GroupSpec, cycle: CycleSpec):
     t = t / -top
     return t if bool(np.all(A @ t < 0)) else None
 
-
-def neutral_membership(spec: GroupSpec, M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership in the neutral block group Y_X.
-
-    Block diagonal with A1 = diag(d_1..d_n, conj(d_1)^-1..conj(d_n)^-1) and
-    a unitary tail block; for the orthogonal family the d_i must be real
-    and positive (reciprocal pairs) and the tail block real.
-    """
-    if M.shape != (spec.size, spec.size):
-        return False
-    if not in_group(M, spec, tol):
-        return False
-    n, k = spec.n, spec.tail
-    scale = tol.rel * (1.0 + np.linalg.norm(M))
-    off = M.copy()
-    for i in range(2 * n):
-        off[i, i] = 0.0
-    off[2 * n:, 2 * n:] = 0.0
-    if np.linalg.norm(off) > scale:
-        return False
-    d = np.diag(M)[:n]
-    dual = np.diag(M)[n:2 * n]
-    if np.linalg.norm(dual - 1.0 / np.conj(d)) > scale:
-        return False
-    if not spec.unitary:
-        if np.linalg.norm(d.imag) > scale or np.any(d.real <= 0):
-            return False
-        if k and np.linalg.norm(M[2 * n:, 2 * n:].imag) > scale:
-            return False
-    if k:
-        B = M[2 * n:, 2 * n:]
-        if not tol.close(B.conj().T @ B, np.eye(k, dtype=complex)):
-            return False
-    return True

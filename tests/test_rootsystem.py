@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from rigidkit.errors import (DegeneratePlane, NotRegular, OutOfRange, ParseError,
-                             SizeMismatch, UnknownRoot)
+from rigidkit.errors import DegeneratePlane, OutOfRange, ParseError, SizeMismatch, UnknownRoot
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
 from rigidkit.rootsystem import (RootLabel, embed, hyperplane_representatives,
-                                 is_generic_plane, is_regular, is_root, multiplicity,
-                                 parse_root, positive_roots, root_index, root_space_basis,
-                                 root_value, roots, weyl_chamber)
-from rigidkit.lyapunov import dim_group, zero_multiplicity
+                                 is_generic_plane, is_root, parse_root,
+                                 root_index, root_space_basis, root_value, roots)
+from rigidkit.lyapunov import dim_group, splitting, zero_multiplicity
 
 
 def test_root_count_so33():
@@ -40,7 +38,7 @@ def test_roots_closed_under_negation():
         labels = {info.label for info in roots(spec)}
         for info in roots(spec):
             assert -info.label in labels
-            assert multiplicity(spec, -info.label) == info.multiplicity
+            assert root_index(spec)[(-info.label).coeffs].multiplicity == info.multiplicity
 
 
 def test_root_index_keyed_by_coefficients():
@@ -50,8 +48,6 @@ def test_root_index_keyed_by_coefficients():
         assert all(c == info.label.coeffs for c, info in index.items())
         bad = RootLabel((1, 1, 1) + (0,) * (spec.n - 3))
         assert bad.coeffs not in index and not is_root(spec, bad)
-        with pytest.raises(UnknownRoot):
-            multiplicity(spec, bad)
 
 
 def test_basis_so43_diff():
@@ -116,21 +112,6 @@ def test_parse_examples():
 def test_parse_roundtrip_all_roots(spec):
     for info in roots(spec):
         assert parse_root(str(info.label), spec) == info.label
-
-
-def test_is_regular_and_chamber():
-    spec = GroupSpec("so", 4, 3)
-    assert is_regular(spec, [3.0, 2.0, 1.0])
-    assert weyl_chamber(spec, [3.0, 2.0, 1.0]) == (1,) * len(positive_roots(spec))
-    assert not is_regular(spec, [1.0, 1.0, 0.0])  # kills L1-L2 and L3
-    with pytest.raises(NotRegular):
-        weyl_chamber(spec, [1.0, 1.0, 0.0])
-    su = GroupSpec("su", 3, 3)
-    assert is_regular(su, [2.0, -1.0, -3.0])
-    signs = weyl_chamber(su, [2.0, -1.0, -3.0])
-    expected = tuple(1 if root_value(i.label, [2.0, -1.0, -3.0]) > 0 else -1
-                     for i in positive_roots(su))
-    assert signs == expected
 
 
 def test_dimension_identity():
@@ -200,9 +181,8 @@ def test_generic_plane_degenerate():
                                  [1e308, 1e308, -1e308]], ids=["nan", "inf", "norm-overflow"])
 def test_non_finite_cartan_vectors_rejected(bad):
     spec = GroupSpec("so", 4, 3)
-    for check in (is_regular, weyl_chamber):
-        with pytest.raises(OutOfRange):
-            check(spec, bad)
+    with pytest.raises(OutOfRange):
+        splitting(spec, bad)
     with pytest.raises(OutOfRange):
         is_generic_plane(spec, bad, [0.0, 1.0, 0.0])
     with pytest.raises(OutOfRange):
