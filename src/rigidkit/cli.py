@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ParseError, RigidkitError
@@ -43,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
-def _tolerance(args) -> Tolerance:
-    """--tol, else the RIGIDKIT_TOL environment variable, else DEFAULT_TOL."""
-    if args.tol is not None:
-        return Tolerance(args.tol)
-    env = os.environ.get("RIGIDKIT_TOL")
-    return Tolerance(float(env)) if env else DEFAULT_TOL
-
-
 def _int_at_least(low: int):
     """An argparse type: a decimal integer of at least ``low``."""
     def parse(text: str) -> int:
@@ -69,7 +60,7 @@ def _add_spec_args(p):
 def _add_run_args(p):
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=42)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL.rel)
     p.add_argument("--json", action="store_true")
 
 
@@ -129,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalform", help="staircase normal form of a tail-block matrix")
     p.add_argument("--family", choices=("so", "su"), default="so")
-    p.add_argument("--k", type=int, required=True, help="tail size m-n")
+    p.add_argument("--k", type=_int_at_least(2), required=True, help="tail size m-n")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--json", action="store_true")
 
@@ -172,7 +163,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from(args)
-    report = run_suite(spec, args.suite, args.samples, args.seed, _tolerance(args))
+    report = run_suite(spec, args.suite, args.samples, args.seed, Tolerance(args.tol))
     obj = report.to_json()
     lines = [f"suite {args.suite} on {spec}: {'pass' if report.passed else 'FAIL'} "
              f"(max residual {report.max_residual:.3e}, {report.samples} samples)"]
@@ -182,7 +173,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     spec = _spec_from(args)
-    report = verify_all(spec, args.samples, args.seed, _tolerance(args))
+    report = verify_all(spec, args.samples, args.seed, Tolerance(args.tol))
     lines = [f"verify-all on {spec} (samples={args.samples}, seed={args.seed})"]
     for entry in report["suites"]:
         if "skipped" in entry:
@@ -257,7 +248,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_trace_pairing(args) -> int:
     spec = GroupSpec("su", args.m, args.n)
-    report = run_suite(spec, "trace-pairing", args.samples, args.seed, _tolerance(args))
+    report = run_suite(spec, "trace-pairing", args.samples, args.seed, Tolerance(args.tol))
     full = report.to_json()
     obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual",
                                       "failures")}

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (NotOnSphere, OutOfRange, ParseError, ShapeMismatch, UnknownRoot,
                      VariantUnsupported, ZeroParameter)
-from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, identity, in_group,
-                         json_complex, json_field, json_real)
+from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, identity, in_group, json_complex,
+                         json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
@@ -304,16 +304,16 @@ class ChainCertificate:
         }
 
 
-def w_elem(spec: GroupSpec, root: RootLabel, p, tol: Tolerance = DEFAULT_TOL) -> ChainCertificate:
-    """Chain element with its factorization and reflection certificate."""
+def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
+    """Chain element with its factorization and reflection certificate, to DEFAULT_TOL."""
     X0, Y0, X1 = _chain_factors(spec, root, p)
     w = X0 @ Y0 @ X1
     w_inv = np.linalg.inv(w)
-    ok = in_group(w, spec, tol)
+    ok = in_group(w, spec)
     for e in np.eye(spec.n):
         lhs = w @ embed(spec, e) @ w_inv
         rhs = embed(spec, reflection(root, e))
-        ok = ok and tol.close(lhs, rhs)
+        ok = ok and DEFAULT_TOL.close(lhs, rhs)
     return ChainCertificate(w, X0, Y0, X1, ok)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import UnknownRoot
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, basis_matrix, bracket
+from .matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
 from .rootsystem import cartan_vector, embed, is_root, root_space_basis, roots
 
 
@@ -117,15 +117,15 @@ def _spaces_cached(spec: GroupSpec) -> tuple:
     return neutral, coeffs, tuple(_read_only(root_space_basis(spec, info.label)) for info in infos)
 
 
-def splitting(spec: GroupSpec, t, tol: Tolerance = DEFAULT_TOL) -> SplittingReport:
+def splitting(spec: GroupSpec, t) -> SplittingReport:
     """Classify root-space directions by the sign of the exponent at t.
 
-    Walls are allowed: root spaces with |value| below tolerance count as
-    neutral, alongside the Cartan and the compact zero block.  The bases
+    Walls are allowed: root spaces with |value| <= DEFAULT_TOL.rel * (1 + |t|)
+    count as neutral, alongside the Cartan and the compact zero block.  The bases
     in the report are shared read-only matrices.
     """
     t = cartan_vector(spec, t)
-    wall = tol.rel * (1.0 + np.linalg.norm(t))
+    wall = DEFAULT_TOL.rel * (1.0 + np.linalg.norm(t))
     neutral_basis, coeffs, bases = _spaces_cached(spec)
     stable, unstable, neutral = [], [], list(neutral_basis)
     # every root value has at most two nonzero terms, each an exact product

@@ -101,11 +101,6 @@ def _frobenius(X) -> float:
 
 DEFAULT_TOL = Tolerance()
 
-# the relative error a few float64 operations leave in a computed quantity, such
-# as the norm of a normalised vector: a validation of such a quantity is floored
-# here, since a tighter tolerance would reject it on rounding alone
-ROUNDING = 1e-12
-
 
 @lru_cache(maxsize=None)
 def _eye(size: int) -> np.ndarray:
@@ -169,16 +164,16 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def in_group(M: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff M preserves the invariant form and has determinant 1."""
+def in_group(M: np.ndarray, spec: GroupSpec) -> bool:
+    """True iff M preserves the invariant form and has determinant 1, to DEFAULT_TOL."""
     if M.shape != (spec.size, spec.size):
         return False
     G = _form_cached(spec)
     left = M.conj().T if spec.unitary else M.T
-    if not tol.close(left @ G @ M, G):
+    if not DEFAULT_TOL.close(left @ G @ M, G):
         return False
     det = np.linalg.det(M)
-    return bool(abs(det - 1.0) <= tol.rel * 10)
+    return bool(abs(det - 1.0) <= DEFAULT_TOL.rel * 10)
 
 
 def _fmt(x: float) -> float:
@@ -226,6 +221,8 @@ def json_complex(pair) -> complex:
 
 def mat_from_json(obj: dict) -> np.ndarray:
     size = json_field(obj, "size", int)
+    if size < 1:
+        raise ParseError(f"key 'size' must be at least 1, got {size}")
     entries = json_field(obj, "entries", list)
     if len(entries) != size * size:
         raise SizeMismatch(f"expected {size * size} entries, got {len(entries)}")

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
                      UnknownSuite)
-from .matrixcore import (DEFAULT_TOL, ROUNDING, GroupSpec, Tolerance, identity,
-                         nilpotent_log)
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, nilpotent_log
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
@@ -141,7 +140,8 @@ def _jsonable(value):
 
 
 class _Recorder:
-    """Collects residuals of the relation checks inside one suite run."""
+    """Collects residuals of the relation checks inside one suite run and judges
+    them against ``tol``, the one tolerance that sets a relation verdict."""
 
     def __init__(self, tol: Tolerance):
         self.tol = tol
@@ -252,18 +252,19 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
 # trace pairing
 
 
-def trace_pairing(spec: GroupSpec, a, b, tol: Tolerance = DEFAULT_TOL):
+def trace_pairing(spec: GroupSpec, a, b):
     """Both sides of the trace identity for products of vector reflections.
 
     lhs = 4|<a,b>|^2 + (m-n) - 4, rhs = trace of the tail block of
-    w(0, sqrt2 a) w(0, sqrt2 b).  Inputs are unit vectors in C^{m-n}.
+    w(0, sqrt2 a) w(0, sqrt2 b).  Inputs are unit vectors in C^{m-n}, to
+    DEFAULT_TOL.rel.
     """
     if not spec.unitary or spec.tail < 1:
         raise SideConditionViolated("trace pairing needs the unitary family with m > n")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for v in (a, b):
-        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > max(tol.rel, ROUNDING):
+        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL.rel:
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
     w = partial(_chain, spec, parse_label(f"L{spec.n}", spec.n))
     tail = (w(np.sqrt(2.0) * a) @ w(np.sqrt(2.0) * b))[2 * spec.n:, 2 * spec.n:]
@@ -278,9 +279,9 @@ def _chain(spec: GroupSpec, root: RootLabel, value, t: float = 0.0) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# relation samplers: sampler(spec, rng, i, tol) yields the relations of sample
+# relation samplers: sampler(spec, rng, i) yields the relations of sample
 # i as (name, lhs, rhs, inputs); rhs None means lhs is a residual the sampler
-# measured itself
+# measured itself.  No sampler reads the verdict tolerance: the recorder does
 
 
 class _Words:
@@ -337,7 +338,7 @@ def _inv_scalar(spec, rng):
     return _inv_cx(rng) if spec.unitary else _inv_real(rng)
 
 
-def _additivity(spec, rng, i, tol):
+def _additivity(spec, rng, i):
     root = _draw_root(spec, rng)
     p = rand_param(spec, root, rng)
     q = rand_param(spec, root, rng)
@@ -346,7 +347,7 @@ def _additivity(spec, rng, i, tol):
            {"root": str(root), "p": param_to_json(p), "q": param_to_json(q)})
 
 
-def _commutator(spec, rng, i, tol):
+def _commutator(spec, rng, i):
     while True:
         r, p = _draw_root(spec, rng), _draw_root(spec, rng)
         if not anti_proportional(r, p):
@@ -354,28 +355,28 @@ def _commutator(spec, rng, i, tol):
     a = rand_param(spec, r, rng)
     b = rand_param(spec, p, rng)
     try:
-        residual = commutator_decompose(spec, r, a, p, b, tol).residual
+        residual = commutator_decompose(spec, r, a, p, b).residual
     except DecompositionResidual as exc:
         residual = exc.residual
     yield ("[x_r(a), x_p(b)] = product of its root factors", residual, None,
            {"r": str(r), "p": str(p), "a": param_to_json(a), "b": param_to_json(b)})
 
 
-def _h_mult(spec, rng, i, tol):
+def _h_mult(spec, rng, i):
     root = parse_label("L1-L2", spec.n)
     t, s = _inv_scalar(spec, rng), _inv_scalar(spec, rng)
     h = partial(_Words(spec).h, root)
     yield "h(t) h(s) = h(ts)", h(t) @ h(s), h(t * s), {"t": t, "s": s}
 
 
-def _center_so(spec, rng, i, tol):
+def _center_so(spec, rng, i):
     diff, plus = parse_label("L1-L2", spec.n), parse_label("L1+L2", spec.n)
     h = _Words(spec).h
     yield ("h_{L1-L2}(-1) h_{L1+L2}(-1) = id", h(diff, -1.0) @ h(plus, -1.0),
            identity(spec.size), {})
 
 
-def _center_su(spec, rng, i, tol):
+def _center_su(spec, rng, i):
     n = spec.n
     if spec.tail > 0:
         w = _Words(spec).w(parse_label(f"L{n}", n), (0.0,) * spec.tail, -1.0)
@@ -388,7 +389,7 @@ def _center_su(spec, rng, i, tol):
     yield "h_{2Ln}(-1) closed form", h, np.diag(expected), {}
     yield "h_{2Ln}(-1)^2 = id", h @ h, I, {}
     # a central element of order two that must not be the identity
-    yield "h_{2Ln}(-1) != id", 0.0 if tol.residual(h, I) > 0.5 else 1.0, None, {}
+    yield "h_{2Ln}(-1) != id", 0.0 if DEFAULT_TOL.residual(h, I) > 0.5 else 1.0, None, {}
 
 
 def _plane_draw(spec, rng, i, count):
@@ -405,7 +406,7 @@ def _circle_mul(ab, cd):
     return (a * c - b * d, a * d + b * c)
 
 
-def _rot(spec, rng, i, tol):
+def _rot(spec, rng, i):
     j, (th1, th2), variant = _plane_draw(spec, rng, i, 2)
     ab, cd = (np.cos(th1), np.sin(th1)), (np.cos(th2), np.sin(th2))
     yield ("h(ab) h(cd) = h(ab cd)", h_rot(spec, j, ab, variant) @ h_rot(spec, j, cd, variant),
@@ -451,7 +452,7 @@ def _reflection_word(spec, words, rng, cx):
     return count, W, W[2 * spec.n:, 2 * spec.n:]
 
 
-def _conj_so(spec, rng, i, tol):
+def _conj_so(spec, rng, i):
     vec = _conj_labels(spec.n)[0]
     words = _Words(spec)
     w = words.w
@@ -466,7 +467,7 @@ def _conj_so(spec, rng, i, tol):
            w(vec, np.sqrt(2.0) * (B.real @ av)), inputs)
 
 
-def _conj_su(spec, rng, i, tol):
+def _conj_su(spec, rng, i):
     n, k = spec.n, spec.tail
     vec, vec1, diff, plus = _conj_labels(n)
     long, long1 = parse_label(f"2L{n}", n), parse_label(f"2L{n - 1}", n)
@@ -532,7 +533,7 @@ def _conj_su(spec, rng, i, tol):
            Wd @ Wta @ Wd_inv, w(vec1, z * a, tgen * abs(z) ** 2), inputs)
 
 
-def _symbol_scalar(spec, rng, i, tol):
+def _symbol_scalar(spec, rng, i):
     words = _Words(spec)
     root = parse_label("L1-L2", spec.n)
     h, hinv = partial(words.h, root), partial(words.hinv, root)
@@ -551,7 +552,7 @@ def _symbol_scalar(spec, rng, i, tol):
     yield "{t, -t} = id", sym(t1, -t1), I, inputs
 
 
-def _symbol_circle(spec, rng, i, tol):
+def _symbol_circle(spec, rng, i):
     j, angles, variant = _plane_draw(spec, rng, i, 3)
     ab, cd, ef = ((np.cos(t), np.sin(t)) for t in angles)
     I = identity(spec.size)
@@ -570,7 +571,7 @@ def _symbol_circle(spec, rng, i, tol):
     yield "{cd, -cd} = id", sym(cd, (-cd[0], -cd[1])), I, inputs
 
 
-def _braid(spec, rng, i, tol):
+def _braid(spec, rng, i):
     j = int(rng.integers(1, spec.tail - 1))
     if spec.unitary:
         draws = tuple(su2_euler(_rand_su2(rng)) for _ in range(3))
@@ -599,10 +600,10 @@ def _braid(spec, rng, i, tol):
     yield name, L, R, inputs
 
 
-def _trace_pairing(spec, rng, i, tol):
+def _trace_pairing(spec, rng, i):
     a = _unit_vec(rng, spec.tail, cx=True)
     b = _unit_vec(rng, spec.tail, cx=True)
-    lhs, rhs = trace_pairing(spec, a, b, tol)
+    lhs, rhs = trace_pairing(spec, a, b)
     yield ("4|<a,b>|^2 + m-n-4 = tr tail(w_Ln(sqrt2 a) w_Ln(sqrt2 b))", lhs, rhs,
            {"a": a, "b": b})
 
@@ -661,10 +662,10 @@ def run_suite(spec: GroupSpec, suite_id: str, samples: int = 1000, seed: int = 4
     sampler = entry["sampler"]
     if "samples" in entry:
         samples = entry["samples"]
-        checks = enumerate(sampler(spec, None, 0, tol))
+        checks = enumerate(sampler(spec, None, 0))
     else:
         checks = ((i, relation) for i in range(samples)
-                  for relation in sampler(spec, rng_for(seed, suite_id, i), i, tol))
+                  for relation in sampler(spec, rng_for(seed, suite_id, i), i))
     rec = _Recorder(tol)
     for i, (name, lhs, rhs, inputs) in checks:
         rec.check(name, lhs, rhs, i, inputs)

@@ -16,11 +16,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
 from .errors import DegeneratePlane, OutOfRange, ParseError, SizeMismatch, UnknownRoot
-from .matrixcore import GroupSpec, Tolerance, DEFAULT_TOL, basis_matrix
+from .matrixcore import GroupSpec, basis_matrix
 
 _ROOT_RE = re.compile(r"^([+-]?)(2?)L(\d+)(?:([+-])(2?)L(\d+))?$")
 
@@ -208,12 +209,11 @@ def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
     return out
 
 
-def root_value(label: RootLabel, t) -> float:
-    """Evaluate the root functional on a Cartan vector."""
-    t = np.asarray(t, dtype=float)
-    if len(label.coeffs) != t.shape[0]:
-        raise SizeMismatch(f"root has {len(label.coeffs)} coefficients, vector has {t.shape[0]}")
-    return float(np.dot(label.coeffs, t))
+def root_value(label: RootLabel, t):
+    """Evaluate the root functional on a Cartan vector; exact on Fractions."""
+    if len(label.coeffs) != len(t):
+        raise SizeMismatch(f"root has {len(label.coeffs)} coefficients, vector has {len(t)}")
+    return sum(map(mul, label.coeffs, t))
 
 
 @lru_cache(maxsize=256)
@@ -297,34 +297,25 @@ class GenericPlaneReport:
         return {"generic": self.generic, "witness": [str(r) for r in self.witness]}
 
 
-def is_generic_plane(spec: GroupSpec, v1, v2, tol: Tolerance = DEFAULT_TOL) -> GenericPlaneReport:
+def is_generic_plane(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
     """Decide whether span(v1, v2) meets distinct hyperplanes in distinct lines.
 
     The plane is generic iff every hyperplane functional restricts to a
     nonzero functional on the plane and no two distinct hyperplanes restrict
-    proportionally.  The witness names the offending hyperplane(s).
+    proportionally.  The witness names the offending hyperplane(s).  Every
+    test is exact: it runs in rational arithmetic over the given floats.
     """
-    v1 = cartan_vector(spec, v1, "plane vector")
-    v2 = cartan_vector(spec, v2, "plane vector")
-    # dependence is exact: every 2x2 minor vanishes in rational arithmetic over
-    # the given floats
-    f1, f2 = ([Fraction(x) for x in v.tolist()] for v in (v1, v2))
+    f1, f2 = ([Fraction(x) for x in cartan_vector(spec, v, "plane vector").tolist()]
+              for v in (v1, v2))
     if all(f1[i] * f2[j] == f1[j] * f2[i] for j in range(spec.n) for i in range(j)):
         raise DegeneratePlane("v1 and v2 are linearly dependent")
-    # genericity is scale-free, so it is judged on each vector scaled to largest
-    # entry 1: |u|^2 lies in [1, n] and cannot overflow or underflow to 0
-    u1, u2 = (v / np.max(np.abs(v)) for v in (v1, v2))
-    reps = hyperplane_representatives(spec)
-    restricted = [(r, np.array([root_value(r, u1), root_value(r, u2)])) for r in reps]
-    scale = tol.rel * (1.0 + max(np.linalg.norm(u1), np.linalg.norm(u2)))
-    for r, pair in restricted:
-        if np.linalg.norm(pair) <= scale:
+    restricted = [(r, root_value(r, f1), root_value(r, f2))
+                  for r in hyperplane_representatives(spec)]
+    for r, x, y in restricted:
+        if x == y == 0:
             return GenericPlaneReport(False, (r,))
-    for a in range(len(restricted)):
-        for b in range(a + 1, len(restricted)):
-            ra, pa = restricted[a]
-            rb, pb = restricted[b]
-            det = pa[0] * pb[1] - pa[1] * pb[0]
-            if abs(det) <= tol.rel * np.linalg.norm(pa) * np.linalg.norm(pb):
+    for a, (ra, xa, ya) in enumerate(restricted):
+        for rb, xb, yb in restricted[a + 1:]:
+            if xa * yb == ya * xb:
                 return GenericPlaneReport(False, (ra, rb))
     return GenericPlaneReport(True, ())

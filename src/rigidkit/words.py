@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, json_field
+from .matrixcore import DEFAULT_TOL, GroupSpec, identity, json_field
 from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
                          param_to_json, rot_from_angle)
 from .rootsystem import RootLabel, parse_root
@@ -158,29 +158,29 @@ def plane_word(spec: GroupSpec, i: int, entry) -> np.ndarray:
             @ rot_from_angle(spec, i, p3, "real"))
 
 
-def _check_tail_block(spec: GroupSpec, B: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _check_tail_block(spec: GroupSpec, B: np.ndarray) -> np.ndarray:
     k = spec.tail
     if B.shape != (k, k):
         raise SizeMismatch(f"tail block must be {k}x{k}, got {B.shape}")
     B = np.asarray(B, dtype=complex)
     if not spec.unitary:
         # an imaginary part within tolerance is dropped: the block is read by its real part
-        if np.linalg.norm(B.imag) > tol.rel * (1 + np.linalg.norm(B)):
+        if np.linalg.norm(B.imag) > DEFAULT_TOL.rel * (1 + np.linalg.norm(B)):
             raise NotInGroup("orthogonal-family tail block must be real")
         B = B.real.astype(complex)
-    if not tol.close(B.conj().T @ B, np.eye(k, dtype=complex)):
+    if not DEFAULT_TOL.close(B.conj().T @ B, np.eye(k, dtype=complex)):
         raise NotInGroup("tail block is not orthogonal/unitary to tolerance")
     if abs(np.linalg.det(B) - 1.0) > 1e-7:
         raise NotInGroup("tail block must have determinant 1")
     return B
 
 
-def staircase_decompose(spec: GroupSpec, B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Staircase:
-    """Factor B in SO(k) / SU(k) into the descending staircase pattern."""
+def staircase_decompose(spec: GroupSpec, B: np.ndarray) -> Staircase:
+    """Factor B in SO(k) / SU(k), checked to DEFAULT_TOL, into the descending staircase pattern."""
     k = spec.tail
     if k < 2:
         raise OutOfRange(f"staircase needs m-n >= 2, got {k}")
-    return Staircase(spec.family, k, staircase_rows(_check_tail_block(spec, B, tol), spec.unitary))
+    return Staircase(spec.family, k, staircase_rows(_check_tail_block(spec, B), spec.unitary))
 
 
 def staircase_rows(B: np.ndarray, unitary: bool) -> tuple:

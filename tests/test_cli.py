@@ -120,14 +120,19 @@ def test_genplane_command(capsys):
 # independent vectors whose Gram products over- or underflow in floats; the
 # next two are the plane of `genplane --v1 1,2,6 --v2 3,-1,2` (generic) at
 # scales 1e-12 and 1e-200, and the verdict does not depend on the scale; the
-# last pair differs in the eleventh digit only, and is still independent
+# fourth pair differs in the eleventh digit only, and is still independent.
+# Genericity is exact: on the first plane L1+L3 restricts to (1e100, 1e100) and
+# L2 to (1, 1); the fifth plane lies 2e-10 off the wall of L2+L3 and is generic;
+# on the last, L1-L2 and L1+L2 are not proportional, but L2-L3 and L2+L3 are
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("v1,v2,verdict", [
-    ("1e100,1,0", "0,1,1e100", "not generic; witness: L2"),
+    ("1e100,1,0", "0,1,1e100", "not generic; witness: L1+L3, L2"),
     ("1e-12,2e-12,6e-12", "3e-12,-1e-12,2e-12", "generic"),
     ("1e-200,2e-200,6e-200", "3e-200,-1e-200,2e-200", "generic"),
-    ("1,2,6", "1,2,6.00000000001", "not generic; witness: L1-L2, L1+L2")],
-    ids=["huge", "small", "tiny", "near-dependent"])
+    ("1,2,6", "1,2,6.00000000001", "not generic; witness: L1-L2, L1+L2"),
+    ("-3,4,-4", "-3.0000000001,3.9999999996,-3.9999999998", "generic"),
+    ("1,2,3", "1.0000000001,2,3", "not generic; witness: L2-L3, L2+L3")],
+    ids=["huge", "small", "tiny", "near-dependent", "near-wall", "near-proportional"])
 def test_genplane_extreme_scales(capsys, v1, v2, verdict):
     code, out, err = run(capsys, "genplane", "--v1", v1, "--v2", v2)
     assert code == 0 and out.strip() == verdict and err == ""
@@ -207,7 +212,7 @@ def test_trace_pairing_command(capsys):
 
 def test_trace_pairing_json_names_failures(capsys, monkeypatch):
     from rigidkit import relations
-    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (1.0, 2.0))
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b: (1.0, 2.0))
     code, out, _ = run(capsys, "trace-pairing", "--m", "5", "--n", "3", "--samples", "3",
                        "--json")
     assert code == 1
@@ -274,11 +279,19 @@ def test_non_finite_cartan_vector_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("doc", [
     {"entries": []}, {"size": 2}, {"size": "2", "entries": []}, {"size": 1, "entries": [[1]]},
-    {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2]])
+    {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2],
+    {"size": -1, "entries": [[1, 0]]}])
 def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "block.json"
     path.write_text(json.dumps(doc))
-    _exit_2_one_line(capsys, "normalform", "--family", "so", "--k", "1", "--matrix", str(path))
+    _exit_2_one_line(capsys, "normalform", "--family", "so", "--k", "2", "--matrix", str(path))
+
+
+@pytest.mark.parametrize("k", ["-1", "1", "x"])
+def test_normalform_k_below_two_exit_2(capsys, k):
+    # checked before the matrix file is read, and named as the option it is
+    err = _exit_2_one_line(capsys, "normalform", "--k", k, "--matrix", "missing.json")
+    assert "--k" in err and "at least 2" in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -321,42 +334,23 @@ def test_determinism_across_processes():
     assert first.stdout == second.stdout
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    # an absurdly tight tolerance from the environment must fail the suite
-    monkeypatch.setenv("RIGIDKIT_TOL", "1e-30")
-    code, out, _ = run(capsys, "verify", "--suite", "additivity", "--family", "so",
-                       "--m", "4", "--n", "3", "--samples", "10", "--json")
-    assert code == 1
-    monkeypatch.delenv("RIGIDKIT_TOL")
-    code, _, _ = run(capsys, "verify", "--suite", "additivity", "--family", "so",
-                     "--m", "4", "--n", "3", "--samples", "10")
-    assert code == 0
-
-
 @pytest.mark.parametrize("command", [["trace-pairing", "--m", "5", "--n", "3", "--samples", "50"],
                                      ["verify-all", "--family", "su", "--m", "4", "--n", "3",
                                       "--samples", "5"]], ids=lambda c: c[0])
-def test_tolerance_below_rounding_fails_the_suites(capsys, monkeypatch, command):
+def test_tolerance_below_rounding_fails_the_suites(capsys, command):
     # the sampler's unit vectors are unit up to rounding: a tighter tolerance
     # must fail the relations, not reject the inputs
-    monkeypatch.delenv("RIGIDKIT_TOL", raising=False)
     code, out, err = run(capsys, *command, "--tol", "1e-16", "--json")
     assert code == 1 and err == ""
     doc = json.loads(out)
     assert doc["pass"] is False
 
 
-@pytest.mark.parametrize("tol, env", [("nan", None), ("-1", None), (None, "nan"), ("1", None),
-                                      ("1e300", None), (None, "1e3")],
-                         ids=["tol-nan", "tol-negative", "env-nan", "tol-one", "tol-huge",
-                              "env-above-one"])
-def test_invalid_tolerance_exit_2(capsys, monkeypatch, tol, env):
-    if env is None:
-        monkeypatch.delenv("RIGIDKIT_TOL", raising=False)
-    else:
-        monkeypatch.setenv("RIGIDKIT_TOL", env)
+@pytest.mark.parametrize("tol", ["nan", "-1", "1", "1e300"],
+                         ids=["tol-nan", "tol-negative", "tol-one", "tol-huge"])
+def test_invalid_tolerance_exit_2(capsys, tol):
     argv = ["verify", "--suite", "additivity", "--family", "so", "--m", "4", "--n", "3",
-            "--samples", "5", "--json"] + (["--tol", tol] if tol is not None else [])
+            "--samples", "5", "--json", "--tol", tol]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rigidkit.errors import NotNilpotent, SizeMismatch
+from rigidkit.errors import NotNilpotent, ParseError, SizeMismatch
 from rigidkit.matrixcore import (DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, basis_matrix,
                                  bracket, identity, in_group, mat_from_json, mat_to_json,
                                  nilpotent_log)
@@ -171,3 +171,9 @@ def test_matrix_json_roundtrip():
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     back = mat_from_json(mat_to_json(M))
     assert np.array_equal(M, back)  # 17 significant digits round-trip exactly
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_matrix_json_size_below_one(size):
+    with pytest.raises(ParseError, match="'size'"):
+        mat_from_json({"size": size, "entries": [[1, 0]] * size * size})

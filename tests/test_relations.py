@@ -134,7 +134,7 @@ def test_run_suite_center_su():
 
 def test_nan_residual_fails_the_suite(monkeypatch):
     # a scalar residual (trace pairing) and a matrix residual (h words through INV)
-    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (float("nan"), 1.0))
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b: (float("nan"), 1.0))
     report = run_suite(GroupSpec("su", 5, 3), "trace-pairing", samples=3, seed=1)
     assert not report.passed and len(report.failures) == 3
     assert np.isnan(report.max_residual)
@@ -149,7 +149,7 @@ def test_nan_residual_fails_the_suite(monkeypatch):
 
 
 def test_nan_residual_in_verify_all_text(monkeypatch, capsys):
-    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b, tol: (float("nan"), 1.0))
+    monkeypatch.setattr(relations, "trace_pairing", lambda spec, a, b: (float("nan"), 1.0))
     code = cli_main(["verify-all", "--family", "su", "--m", "4", "--n", "3", "--samples", "2"])
     out = capsys.readouterr().out
     assert code == 1
@@ -215,7 +215,7 @@ def test_braid_exchange_near_gimbal_lock(monkeypatch, family, direction, draws, 
     euler = words.su2_euler
     monkeypatch.setattr(words, "su2_euler", lambda V: first_rows.append(V[0]) or euler(V))
     spec = GroupSpec(family, 6, 3)
-    (_, L, R, _), = relations._braid(spec, np.random.default_rng(0), direction, DEFAULT_TOL)
+    (_, L, R, _), = relations._braid(spec, np.random.default_rng(0), direction)
     assert DEFAULT_TOL.residual(L, R) < 1e-12
     assert not c2 or any(np.hypot(row[0].real, row[1].real) < 1e-12 for row in first_rows)
 
@@ -346,7 +346,7 @@ def _sample_calls(suite_id, spec, i, *recorded):
     for calls in recorded:
         calls.clear()
     sampler = relations.SUITES[suite_id]["sampler"]
-    for _ in sampler(spec, relations.rng_for(7, suite_id, i), i, DEFAULT_TOL):
+    for _ in sampler(spec, relations.rng_for(7, suite_id, i), i):
         pass
 
 

@@ -89,6 +89,10 @@ def runs(suites):
     cli("usage-missing-value", "chain", "--root", "--json", "--param", '{"t": 1.0}')  # exit 2
     # independent, though only in the eleventh digit: decided exactly
     cli("genplane-near-dependent", "genplane", "--v1", "1,2,6", "--v2", "1,2,6.00000000001")
+    # 2e-10 off the wall of L2+L3 (generic), and with one exactly proportional pair
+    cli("genplane-near-wall", "genplane", "--v1", "-3,4,-4", "--v2",
+        "-3.0000000001,3.9999999996,-3.9999999998")
+    cli("genplane-near-proportional", "genplane", "--v1", "1,2,3", "--v2", "1.0000000001,2,3")
     cli("verify-tol-additivity-so43", "verify", "--suite", "additivity", "--family", "so", "--m",
         "4", "--n", "3", "--samples", "200", "--seed", "7", "--tol", "1e-12", "--json")
     return out
