@@ -13,12 +13,15 @@ import json
 import sys
 
 from .errors import ParseError, RigidkitError
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, load_matrix
+from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, load_matrix
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
 from .relations import run_suite, suite_ids, verify_all
 from .words import load_word, staircase_decompose, word_to_json, free_reduce
 from .lyapunov import CycleSpec, exponent_table, splitting, stable_cycle_feasible
+
+# normalform reads its k x k block as the compact tail of SO+(3+k, 3) / SU(3+k, 3)
+_NORMALFORM_N = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,11 +45,14 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
-def _int_at_least(low: int):
-    """An argparse type: a decimal integer of at least ``low``."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """An argparse type: a decimal integer of at least ``low`` and, when given,
+    at most ``at_most``."""
     def parse(text: str) -> int:
-        if not text.strip().isdigit() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        if (not text.strip().isdigit() or int(text) < low
+                or at_most is not None and int(text) > at_most):
+            bounds = f"at least {low}" + ("" if at_most is None else f" and at most {at_most}")
+            raise argparse.ArgumentTypeError(f"must be an integer of {bounds}, got {text!r}")
         return int(text)
     return parse
 
@@ -120,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalform", help="staircase normal form of a tail-block matrix")
     p.add_argument("--family", choices=("so", "su"), default="so")
-    p.add_argument("--k", type=_int_at_least(2), required=True, help="tail size m-n")
+    p.add_argument("--k", type=_int_at_least(2, MAX_SIZE - 2 * _NORMALFORM_N), required=True,
+                   help="tail size m-n")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--json", action="store_true")
 
@@ -228,7 +235,7 @@ def _cmd_genplane(args) -> int:
 
 
 def _cmd_normalform(args) -> int:
-    spec = GroupSpec(args.family, 3 + args.k, 3)
+    spec = GroupSpec(args.family, _NORMALFORM_N + args.k, _NORMALFORM_N)
     B = load_matrix(args.matrix)
     stair = staircase_decompose(spec, B)
     obj = stair.to_json()

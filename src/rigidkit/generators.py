@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import matmul
 
 import numpy as np
 
@@ -321,14 +323,30 @@ def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
 # planar rotation elements h^j
 
 
+@lru_cache(maxsize=None)
+def _rot_frame(spec: GroupSpec, j: int) -> tuple:
+    """The labels L_n, -L_n and the fixed factors x_{+-L_n}(-sqrt2 e_j) of h^j,
+    shared and read-only: they depend on neither the angle nor the variant."""
+    pos, neg = parse_label(f"L{spec.n}", spec.n), parse_label(f"-L{spec.n}", spec.n)
+    e = [0.0] * spec.tail
+    e[j - 1] = -np.sqrt(2.0)
+    pe = Heis(0.0, e) if spec.unitary else RVec(e)
+    Xe, Ye = _x_matrix(spec, pos, pe), _x_matrix(spec, neg, pe)
+    Xe.flags.writeable = False
+    Ye.flags.writeable = False
+    return pos, neg, Xe, Ye
+
+
 def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
     """The rotation word h^j_{L_n}(sqrt2 a, sqrt2 b), evaluated verbatim.
 
     The compact block is the rotation [[a^2-b^2, -2ab], [2ab, a^2-b^2]] in
     tail coordinates (j, j+1); the imaginary variant (unitary only) carries
     the conjugate block.  The word is the defining 9-factor (orthogonal) or
-    6-factor (unitary) product; it is not simplified, but each of its 6
-    (orthogonal) or 4 (unitary) distinct factors is built once.
+    6-factor (unitary) product, multiplied from its first letter; it is not
+    simplified.  Of its 6 (orthogonal) or 4 (unitary) distinct factors, the
+    2 fixed ones x_{+-L_n}(-sqrt2 e_j) are built once per (spec, j) and the
+    others once per call.
     """
     a, b = ab
     if variant not in ("real", "imag"):
@@ -342,35 +360,26 @@ def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
         raise NotOnSphere(f"(a, b) must satisfy |a|^2 + |b|^2 = 1, got {ab}")
     if not spec.unitary and (isinstance(a, complex) or isinstance(b, complex)):
         raise VariantUnsupported("orthogonal rotations take real (a, b)")
+    pos, neg, Xe, Ye = _rot_frame(spec, j)
     s2 = np.sqrt(2.0)
     k = spec.tail
-    pos, neg = parse_label(f"L{spec.n}", spec.n), parse_label(f"-L{spec.n}", spec.n)
     if spec.unitary:
         c = np.zeros(k, dtype=complex)
         c[j - 1] = s2 * a
         c[j] = s2 * b * (1j if variant == "imag" else 1.0)
-        e = np.zeros(k, dtype=complex)
-        e[j - 1] = -s2
-        pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
-        Xc, Yc, Xe, Ye = (_x_matrix(spec, r, q) for r, q in
-                          ((pos, pc), (neg, pc), (pos, pe), (neg, pe)))
+        pc = Heis(0.0, tuple(c))
+        Xc, Yc = _x_matrix(spec, pos, pc), _x_matrix(spec, neg, pc)
         word = (Xc, Yc, Xc, Xe, Ye, Xe)
     else:
         va = [0.0] * k
         vb = [0.0] * k
-        ve = [0.0] * k
         va[j - 1] = s2 * a
         vb[j] = s2 * b
-        ve[j - 1] = -s2
-        pa, pb, pe = RVec(va), RVec(vb), RVec(ve)
-        Xa, Xb, Ya, Yb, Xe, Ye = (_x_matrix(spec, r, q) for r, q in
-                                  ((pos, pa), (pos, pb), (neg, pa), (neg, pb),
-                                   (pos, pe), (neg, pe)))
+        pa, pb = RVec(va), RVec(vb)
+        Xa, Xb, Ya, Yb = (_x_matrix(spec, r, q) for r, q in
+                          ((pos, pa), (pos, pb), (neg, pa), (neg, pb)))
         word = (Xa, Xb, Ya, Yb, Xa, Xb, Xe, Ye, Xe)
-    M = identity(spec.size)
-    for X in word:
-        M = M @ X
-    return M
+    return reduce(matmul, word)
 
 
 def rot_from_angle(spec: GroupSpec, j: int, psi: float, variant: str = "real") -> np.ndarray:

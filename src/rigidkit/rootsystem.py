@@ -309,13 +309,16 @@ def is_generic_plane(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
               for v in (v1, v2))
     if all(f1[i] * f2[j] == f1[j] * f2[i] for j in range(spec.n) for i in range(j)):
         raise DegeneratePlane("v1 and v2 are linearly dependent")
-    restricted = [(r, root_value(r, f1), root_value(r, f2))
-                  for r in hyperplane_representatives(spec)]
-    for r, x, y in restricted:
+    # a nonzero restriction (x, y) is proportional to another exactly when their
+    # slopes y / x agree (None for x = 0); the groups keep the order of first
+    # members, so the first group of two gives the lexicographically first pair
+    lines = {}
+    for r in hyperplane_representatives(spec):
+        x, y = root_value(r, f1), root_value(r, f2)
         if x == y == 0:
             return GenericPlaneReport(False, (r,))
-    for a, (ra, xa, ya) in enumerate(restricted):
-        for rb, xb, yb in restricted[a + 1:]:
-            if xa * yb == ya * xb:
-                return GenericPlaneReport(False, (ra, rb))
+        lines.setdefault(y / x if x else None, []).append(r)
+    for group in lines.values():
+        if len(group) > 1:
+            return GenericPlaneReport(False, (group[0], group[1]))
     return GenericPlaneReport(True, ())

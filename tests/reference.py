@@ -6,12 +6,17 @@ the terminating exponential series of a nilpotent matrix, the ordered product
 of a word's generators, and membership in the Lie algebra of the invariant form.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 
 from rigidkit import generators, relations
 from rigidkit.errors import NotNilpotent, SizeMismatch
 from rigidkit.generators import param_neg, x_elem
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, identity
+from rigidkit.rootsystem import (GenericPlaneReport, cartan_vector, hyperplane_representatives,
+                                 root_value)
 
 
 def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -52,6 +57,24 @@ def in_algebra(X: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> 
     return tol.close(left @ G + G @ X, np.zeros_like(G))
 
 
+def generic_plane_pairwise(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
+    """is_generic_plane for independent v1, v2 by the plain pairwise loop: the
+    first hyperplane that vanishes on the plane, else the first pair (a, b),
+    a before b, that restricts proportionally."""
+    f1, f2 = ([Fraction(x) for x in cartan_vector(spec, v, "plane vector").tolist()]
+              for v in (v1, v2))
+    restricted = [(r, root_value(r, f1), root_value(r, f2))
+                  for r in hyperplane_representatives(spec)]
+    for r, x, y in restricted:
+        if x == y == 0:
+            return GenericPlaneReport(False, (r,))
+    for a, (ra, xa, ya) in enumerate(restricted):
+        for rb, xb, yb in restricted[a + 1:]:
+            if xa * yb == ya * xb:
+                return GenericPlaneReport(False, (ra, rb))
+    return GenericPlaneReport(True, ())
+
+
 def negate_opposite_factors(monkeypatch):
     """x_alpha(p) is built as x_alpha(-p) for every negative root alpha."""
     build = generators._x_matrix
@@ -62,3 +85,7 @@ def negate_opposite_factors(monkeypatch):
         return build(spec, root, p)
     monkeypatch.setattr(generators, "_x_matrix", wrong)
     monkeypatch.setattr(relations, "_x_matrix", wrong)
+    # h_rot's fixed factors come from a cache: the patched run fills a fresh one,
+    # which goes with the patch, so neither run sees the other's factors
+    monkeypatch.setattr(generators, "_rot_frame",
+                        lru_cache(maxsize=None)(generators._rot_frame.__wrapped__))

@@ -1,0 +1,61 @@
+"""The summary step of tools/bench_pairs.py, on canned result lines of perfbench/run.py."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
+
+
+def _run(ops, p50, failed=0):
+    line = json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
+        "ops_per_s": {"value": ops, "unit": "1/s"}, "op_p50_ms": {"value": p50, "unit": "ms"}}})
+    err = "warming up\nperfbench: normalform seed 1: 3 rounds, fail_ratio 0 (0/10)\n"
+    return bench_pairs.parse_run(1 if failed else 0, "progress\n" + line + "\n", err)
+
+
+def test_parse_run_reads_the_last_line_and_the_summary_line():
+    rec = _run(100.0, 2.0)
+    assert rec == {"exit": 0, "stderr_line": "perfbench: normalform seed 1: 3 rounds, "
+                   "fail_ratio 0 (0/10)", "correct": True, "attempted": 10, "failed": 0,
+                   "metrics": {"ops_per_s": 100.0, "op_p50_ms": 2.0}}
+    broken = bench_pairs.parse_run(3, "", "perfbench: worker.py did not finish in time\n")
+    assert broken == {"exit": 3, "stderr_line": "perfbench: worker.py did not finish in time"}
+
+
+def test_summarize_medians_wins_and_ties():
+    pairs = [{"parent": _run(100.0, 2.0), "change": _run(130.0, 1.0)},
+             {"parent": _run(110.0, 2.0), "change": _run(120.0, 2.0)},
+             {"parent": _run(120.0, 3.0), "change": _run(119.0, 4.0)},
+             # a run without a result line drops its pair from every metric
+             {"parent": _run(90.0, 1.0), "change": bench_pairs.parse_run(3, "", "")}]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    ops = summary["ops_per_s"]
+    assert ops["pairs"] == 3
+    assert ops["parent"] == {"median": 110.0, "q1": 105.0, "q3": 115.0}
+    assert ops["change"] == {"median": 120.0, "q1": 119.5, "q3": 125.0}
+    assert ops["gain"] == pytest.approx(10.0 / 110.0)
+    assert (ops["change_wins"], ops["ties"], ops["beyond_parent_iqr"]) == (2, 0, False)
+    p50 = summary["op_p50_ms"]   # lower is better: the gain and the wins change sign
+    assert p50["parent"]["median"] == p50["change"]["median"] == 2.0
+    assert (p50["gain"], p50["change_wins"], p50["ties"]) == (0.0, 1, 1)
+    assert bench_pairs.failed_runs(pairs) == {"parent": 0, "change": 1}
+
+
+def test_summarize_a_single_pair_and_a_gain_beyond_the_spread():
+    pairs = [{"parent": _run(100.0, 2.0), "change": _run(125.0, 1.5)}]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    assert summary["ops_per_s"]["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+    assert summary["ops_per_s"]["gain"] == pytest.approx(0.25)
+    assert summary["op_p50_ms"]["gain"] == pytest.approx(0.25)
+    assert summary["ops_per_s"]["beyond_parent_iqr"] and summary["op_p50_ms"]["beyond_parent_iqr"]
+    assert bench_pairs.summarize([], METRICS) == {"ops_per_s": {"pairs": 0},
+                                                  "op_p50_ms": {"pairs": 0}}

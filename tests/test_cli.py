@@ -294,6 +294,20 @@ def test_normalform_k_below_two_exit_2(capsys, k):
     assert "--k" in err and "at least 2" in err
 
 
+def test_normalform_k_above_max_exit_2(capsys):
+    # k is the tail of SO+(3+k, 3), so MAX_SIZE bounds it by 58; named as --k too
+    err = _exit_2_one_line(capsys, "normalform", "--k", "59", "--matrix", "missing.json")
+    assert "--k" in err and "at most 58" in err
+
+
+def test_normalform_k_at_max(tmp_path, capsys):
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(mat_to_json(np.eye(58, dtype=complex))))
+    code, out, _ = run(capsys, "normalform", "--k", "58", "--matrix", str(path), "--json")
+    assert code == 0
+    assert [len(row) for row in json.loads(out)["rows"]] == list(range(57, 0, -1))
+
+
 @pytest.mark.parametrize("doc", [
     [{"root": "L1-L2"}], [{"param": {"t": 1.0}}], [{"root": 5, "param": {"t": 1.0}}],
     [{"root": "L1-L2", "param": [1.0]}], [{"root": "L1-L2", "param": {"t": "x"}}],

@@ -351,16 +351,45 @@ def _verbatim_h_rot(spec, j, ab, variant="real"):
 
 def test_h_rot_builds_each_distinct_factor_once(monkeypatch):
     # 6 distinct factors of the 9-letter orthogonal word, 4 of the 6-letter
-    # unitary one; the product is still the verbatim word, bit for bit
+    # unitary one; the 2 fixed factors x_{+-L_n}(-sqrt2 e_j) are built on the
+    # first call for (spec, j) only, and the product is still the verbatim word
     cases = [(GroupSpec("so", 6, 3), 2, "real", 6), (GroupSpec("su", 6, 3), 1, "real", 4),
              (GroupSpec("su", 6, 3), 2, "imag", 4)]
+    generators._rot_frame.cache_clear()
     calls = _count_builds(monkeypatch)
     for spec, j, variant, builds in cases:
         ab = (np.cos(0.7), np.sin(0.7))
-        calls.clear()
-        M = h_rot(spec, j, ab, variant)
-        assert len(calls) == builds, (spec, variant)
-        assert np.array_equal(M, _verbatim_h_rot(spec, j, ab, variant))
+        for warm in (False, True):
+            calls.clear()
+            M = h_rot(spec, j, ab, variant)
+            assert len(calls) == builds - 2 * warm, (spec, variant, warm)
+            assert np.array_equal(M, _verbatim_h_rot(spec, j, ab, variant))
+
+
+_H_ROT_SPECS = [GroupSpec(f, m, 3) for f in ("so", "su") for m in range(5, 9)]
+
+
+@pytest.mark.parametrize("spec, j, variant", [
+    (spec, j, variant) for spec in _H_ROT_SPECS for j in range(1, spec.tail)
+    for variant in (("real", "imag") if spec.unitary else ("real",))],
+    ids=str)
+def test_h_rot_is_the_verbatim_word(spec, j, variant):
+    # the special angles (a sign, a zero, a negative zero) and a few generic ones
+    t = np.random.default_rng([spec.size, j]).uniform(-np.pi, np.pi, size=4)
+    angles = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0),
+              *zip(np.cos(t), np.sin(t))]
+    for ab in angles:
+        assert np.array_equal(h_rot(spec, j, ab, variant), _verbatim_h_rot(spec, j, ab, variant))
+
+
+def test_h_rot_frame_is_read_only():
+    spec = GroupSpec("su", 6, 3)
+    h_rot(spec, 2, (0.6, 0.8))
+    _, _, Xe, Ye = generators._rot_frame(spec, 2)
+    for X in (Xe, Ye):
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("spec", [SO53, GroupSpec("su", 6, 3)], ids=str)

@@ -273,9 +273,10 @@ def test_word_memos_are_per_sample(suite_id, spec):
 
 
 def test_no_cache_outlives_a_patched_x_matrix():
-    # chain and rotation factors are shared within one call only, and the
-    # splitting caches hold no generator matrix: outputs computed before,
-    # under and after the negative-control patch must not leak into each other
+    # chain and rotation factors are shared within one call only (the fixed
+    # rotation factors within one cache per (spec, j)), and the splitting
+    # caches hold no generator matrix: outputs computed before, under and
+    # after the negative-control patch must not leak into each other
     so, su = GroupSpec("so", 5, 3), GroupSpec("su", 5, 3)
     roots_so = [parse_root(text, so) for text in ("L1-L2", "-L1-L2", "L3", "-L3")]
     roots_su = [parse_root(text, su) for text in ("L2+L3", "-L1", "2L1")]
@@ -294,6 +295,7 @@ def test_no_cache_outlives_a_patched_x_matrix():
         return all(np.array_equal(A, B) and A.dtype == B.dtype for A, B in zip(a, b))
 
     ws, hs, splits, reports = outputs()
+    generators._rot_frame.cache_clear()   # the patched run is the first to need the frames
     with pytest.MonkeyPatch.context() as patch:
         negate_opposite_factors(patch)
         ws_bad, hs_bad, _, reports_bad = outputs()

@@ -8,6 +8,8 @@ from rigidkit.rootsystem import (RootLabel, embed, hyperplane_representatives,
                                  root_index, root_space_basis, root_value, roots)
 from rigidkit.lyapunov import dim_group, splitting, zero_multiplicity
 
+from reference import generic_plane_pairwise
+
 
 def test_root_count_so33():
     table = roots(GroupSpec("so", 3, 3))
@@ -170,6 +172,27 @@ def test_generic_plane_brute_force_agreement():
             if abs(pairs[a][0] * pairs[b][1] - pairs[a][1] * pairs[b][0]) < 1e-12:
                 generic = False
     assert rep.generic == generic
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("so", 3, 3), GroupSpec("so", 6, 4),
+                                  GroupSpec("su", 4, 4), GroupSpec("su", 7, 5)], ids=str)
+def test_generic_plane_matches_pairwise_loop(spec):
+    # random float planes are generic; small integer planes hit vanishing
+    # hyperplanes and proportional pairs, in no set order, so the witness must be
+    # the pairwise loop's first one, not the first repeat a scan meets
+    rng = np.random.default_rng(spec.size)
+    verdicts = set()
+    for draw in range(60):
+        if draw % 3 == 0:
+            v1, v2 = rng.standard_normal((2, spec.n))
+        else:
+            v1, v2 = rng.integers(-3 * (draw % 3), 3 * (draw % 3) + 1, size=(2, spec.n))
+        if np.linalg.matrix_rank(np.array([v1, v2], dtype=float)) < 2:
+            continue
+        rep = is_generic_plane(spec, v1, v2)
+        assert rep == generic_plane_pairwise(spec, v1, v2)
+        verdicts.add(len(rep.witness))
+    assert verdicts == {0, 1, 2}
 
 
 def test_generic_plane_degenerate():
