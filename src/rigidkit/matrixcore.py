@@ -140,20 +140,27 @@ def _form_cached(spec: GroupSpec) -> np.ndarray:
 
 
 def nilpotent_log(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Exact logarithm of a unipotent matrix (finite Mercator series)."""
+    """Exact logarithm of a unipotent matrix (finite Mercator series).
+
+    The series stops at the first power of N = M - I that is exactly zero.
+    When none below N^size is, M is accepted only if
+    ||N^size|| <= tol.rel * (1 + ||N||)^size; the two sides are compared in
+    log space, so the bound cannot overflow, and the test is written so that
+    a NaN or an overflowed power fails it (NotNilpotent).
+    """
     size = M.shape[0]
-    N = M - identity(size)
+    N = M - _eye(size)
     X = np.zeros_like(N)
-    term = identity(size)
+    term = N
     for k in range(1, size):
-        term = term @ N
         if not term.any():
             return X
         X += ((-1) ** (k + 1)) / k * term
-    power = term @ N
-    bound = tol.rel * (1.0 + np.linalg.norm(N)) ** size
-    if np.linalg.norm(power) > bound:
-        raise NotNilpotent(f"(M-I)^{size} has norm {np.linalg.norm(power):.3e}, not unipotent")
+        term = term @ N
+    norm_power, norm_n = np.linalg.norm(term), np.linalg.norm(N)
+    if not (math.isfinite(norm_n) and (norm_power == 0 or math.log(norm_power)
+            <= math.log(tol.rel) + size * math.log1p(norm_n))):
+        raise NotNilpotent(f"(M-I)^{size} has norm {norm_power:.3e}, not unipotent")
     return X
 
 

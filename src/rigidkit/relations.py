@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from operator import mul
+from functools import lru_cache, partial, reduce
+from operator import matmul, mul
 
 import numpy as np
 
 from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
                      UnknownSuite)
-from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, identity, nilpotent_log
+from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpotent_log
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
@@ -204,6 +204,27 @@ def anti_proportional(r: RootLabel, p: RootLabel) -> bool:
     return dot < 0 and dot * dot == sum(map(mul, rc, rc)) * sum(map(mul, pc, pc))
 
 
+@lru_cache(maxsize=None)
+def _term_plan(index_of, family: str, m: int, n: int, rc: tuple, pc: tuple) -> tuple:
+    """The terms of [x_r, x_p] as ((label, has_double), ...), ascending (i + j, i).
+
+    Each i*r + j*p (i, j = 1..3) is formed as an integer tuple and looked up
+    in ``index_of(spec)``; has_double says whether twice the term root is a
+    term too.  A plan depends on nothing but its arguments, and the lookup
+    is one of them, so a plan found under one root index (a test may blind
+    the search by patching ``root_index``) is never served under another.
+    """
+    index = index_of(GroupSpec(family, m, n))
+    seen = {}   # coefficient tuple of a term root -> (height i + j, i)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            c = tuple([i * x + j * y for x, y in zip(rc, pc)])
+            if c in index and c not in seen:
+                seen[c] = (i + j, i)
+    return tuple((index[c].label, tuple([2 * v for v in c]) in seen)
+                 for c in sorted(seen, key=seen.get))
+
+
 def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
                          tol: Tolerance = DEFAULT_TOL) -> CommutatorTable:
     """Decompose [x_r(a), x_p(b)] into one-root factors and certify it.
@@ -211,12 +232,14 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     The commutator is unipotent; its nilpotent logarithm is projected onto
     the root spaces i*r + j*p (i, j >= 1) and the product of the extracted
     one-root factors, taken in ascending height order, must reproduce the
-    commutator.  The term roots come from coefficient arithmetic: each
-    i*r + j*p is formed as an integer tuple and looked up in
-    ``root_index``, which also supplies the term's label.  The table is
-    empty exactly when no i*r + j*p is a root.  Pairs along opposite root
-    directions (r = -c*p, c > 0) are rejected: their commutator leaves the
-    unipotent world.
+    commutator.  Which i*r + j*p are roots depends on the pair alone, so the
+    term roots come from a plan cache, ``_term_plan``, keyed by the spec's
+    fields, the coefficient tuples of r and p and the ``root_index`` in
+    force; it holds no matrix and no parameter.  The table is empty exactly
+    when no i*r + j*p is a root.  Pairs along opposite root directions
+    (r = -c*p, c > 0) are rejected: their commutator leaves the unipotent
+    world.  The cache changes no bit of a table: ``to_json()`` is the same,
+    byte for byte, whether a pair's plan is found afresh or read back.
     """
     if anti_proportional(r, p):
         raise OppositeRoots(f"{r} and {p} span opposite root group directions")
@@ -224,28 +247,18 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     B = x_elem(spec, p, b)
     # one-root generators invert exactly through parameter negation
     C = A @ B @ _x_matrix(spec, r, param_neg(a)) @ _x_matrix(spec, p, param_neg(b))
-    index = root_index(spec)
-    seen = {}   # coefficient tuple of a term root -> (height i + j, i)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            c = tuple([i * x + j * y for x, y in zip(r.coeffs, p.coeffs)])
-            if c in index and c not in seen:
-                seen[c] = (i + j, i)
-    terms = []
-    if seen:
+    plan = _term_plan(root_index, spec.family, spec.m, spec.n, r.coeffs, p.coeffs)
+    if plan:
         X = nilpotent_log(C, tol)
-        for c in sorted(seen, key=seen.get):
-            q = index[c].label
-            terms.append((q, _extract_term(spec, q, X, tuple([2 * v for v in c]) in seen)))
-    # with no term the product P is the identity: the commutator must be trivial
-    P = identity(spec.size)
-    for q, par in terms:
-        P = P @ _x_matrix(spec, q, par)
+        terms = tuple([(q, _extract_term(spec, q, X, has_double)) for q, has_double in plan])
+        P = reduce(matmul, [_x_matrix(spec, q, par) for q, par in terms])
+    else:   # with no term the product is the identity: the commutator must be trivial
+        terms, P = (), _eye(spec.size)
     resid = tol.residual(P, C)
     if resid > tol.rel:
         raise DecompositionResidual(
             f"[{r}, {p}] decomposition residual {resid:.3e} exceeds tolerance", resid)
-    return CommutatorTable(r, p, tuple(terms), resid)
+    return CommutatorTable(r, p, terms, resid)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -210,10 +209,15 @@ def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
 
 
 def root_value(label: RootLabel, t):
-    """Evaluate the root functional on a Cartan vector; exact on Fractions."""
-    if len(label.coeffs) != len(t):
-        raise SizeMismatch(f"root has {len(label.coeffs)} coefficients, vector has {len(t)}")
-    return sum(map(mul, label.coeffs, t))
+    """Evaluate the root functional on a Cartan vector; exact on Fractions.
+
+    Only the nonzero coefficients (at most two) are multiplied: a zero term
+    leaves the sum unchanged.
+    """
+    c = label.coeffs
+    if len(c) != len(t):
+        raise SizeMismatch(f"root has {len(c)} coefficients, vector has {len(t)}")
+    return sum([c[i] * t[i] for i in label.support])
 
 
 @lru_cache(maxsize=256)

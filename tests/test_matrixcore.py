@@ -92,6 +92,21 @@ def test_nilpotent_log_inverts_exp():
         assert DEFAULT_TOL.close(nilpotent_log(exp_nilpotent(X)), X)
 
 
+def _with_nan(size):
+    M = identity(size)
+    M[0, 1] = np.nan
+    return M
+
+
+@pytest.mark.parametrize("M", [2.0 * identity(8), 1e40 * identity(8), _with_nan(8)],
+                         ids=["2I", "1e40I", "nan-entry"])
+def test_nilpotent_log_rejects_what_is_not_unipotent(M):
+    # 1e40 I: (M - I)^8 and the bound both overflow to inf; a NaN entry: every
+    # comparison with NaN is false.  The check must fail for both, not pass
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotNilpotent):
+        nilpotent_log(M)
+
+
 def test_bracket_antisymmetry_and_mismatch():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -8,7 +9,7 @@ from rigidkit.errors import (DecompositionResidual, NotOnSphere, OppositeRoots,
                              SideConditionViolated, UnknownSuite)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
-from rigidkit.rootsystem import RootLabel, parse_root, roots
+from rigidkit.rootsystem import RootLabel, is_root, parse_root, roots
 from rigidkit import generators, lyapunov, relations, words
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
@@ -23,6 +24,8 @@ GOLDEN_BRAID = pathlib.Path(__file__).parent / "golden" / "braid_su.json"
 SO43 = GroupSpec("so", 4, 3)
 SU33 = GroupSpec("su", 3, 3)
 SU43 = GroupSpec("su", 4, 3)
+ACCEPTANCE_SPECS = [GroupSpec("so", m, 3) for m in (3, 4, 5, 6)] + \
+    [GroupSpec("su", m, 3) for m in (3, 4, 5)]
 
 
 def test_commutator_empty_case():
@@ -36,12 +39,75 @@ def test_commutator_empty_case():
 def test_empty_commutator_table_can_fail(monkeypatch):
     # with the term search blinded (its root index is empty; x_elem still
     # validates against the real roots) the table is empty, yet [x_L1-L2, x_L2-L3]
-    # is x_L1-L3 of a nonzero parameter: the certificate must reject the empty table
+    # is x_L1-L3 of a nonzero parameter: the certificate must reject the empty
+    # table, also when the pair's term plan was cached before the patch
+    args = (SO43, parse_root("L1-L2", SO43), Scalar(0.8), parse_root("L2-L3", SO43), Scalar(-1.1))
+    assert [str(q) for q, _ in commutator_decompose(*args).terms] == ["L1-L3"]
     monkeypatch.setattr(relations, "root_index", lambda spec: {})
     with pytest.raises(DecompositionResidual) as caught:
-        commutator_decompose(SO43, parse_root("L1-L2", SO43), Scalar(0.8),
-                             parse_root("L2-L3", SO43), Scalar(-1.1))
+        commutator_decompose(*args)
     assert caught.value.residual > DEFAULT_TOL.rel
+
+
+def _term_roots_by_definition(spec, r, p):
+    """The roots i*r + j*p (i, j >= 1) by is_root on fresh labels, ascending in
+    i + j and then in i, each once, with whether twice the root is among them."""
+    found = []
+    for i, j in sorted(itertools.product(range(1, 5), repeat=2), key=lambda ij: (sum(ij), ij[0])):
+        c = tuple(i * x + j * y for x, y in zip(r.coeffs, p.coeffs))
+        if any(c) and is_root(spec, RootLabel(c)) and c not in found:
+            found.append(c)
+    return [(c, tuple(2 * v for v in c) in found) for c in found]
+
+
+def test_term_plans_match_the_definition_on_every_pair():
+    # every ordered pair of the seven acceptance specs; the plan is read twice
+    # (found, then cached) and through one decomposition
+    rng = np.random.default_rng(31)
+    pairs = 0
+    for spec in ACCEPTANCE_SPECS:
+        labels = [info.label for info in roots(spec)]
+        for r, p in itertools.product(labels, labels):
+            if anti_proportional(r, p):
+                continue
+            want = _term_roots_by_definition(spec, r, p)
+            for _ in range(2):
+                plan = relations._term_plan(relations.root_index, spec.family, spec.m, spec.n,
+                                            r.coeffs, p.coeffs)
+                assert [(q.coeffs, double) for q, double in plan] == want
+            table = commutator_decompose(spec, r, relations.rand_param(spec, r, rng),
+                                         p, relations.rand_param(spec, p, rng))
+            assert [q.coeffs for q, _ in table.terms] == [c for c, _ in want]
+            pairs += 1
+    assert pairs == 2436
+
+
+def test_no_plan_outlives_a_patched_root_index():
+    # term plans are keyed by the root index in force: plans cached before a
+    # patch are not served under it, and plans found under it not after it
+    cases = [(spec, parse_root(r, spec), parse_root(p, spec)) for spec, r, p in (
+        (SO43, "L1-L2", "L2-L3"), (SO43, "L1-L2", "L3"), (SO43, "L3", "L1-L3"),
+        (SU43, "L1-L2", "L2"), (SU43, "L1", "L2"), (SU43, "2L1", "L2-L1"))]
+    rng = np.random.default_rng(37)
+    cases = [(spec, r, relations.rand_param(spec, r, rng), p, relations.rand_param(spec, p, rng))
+             for spec, r, p in cases]
+
+    def tables():
+        out = []
+        for case in cases:
+            try:
+                out.append(json.dumps(commutator_decompose(*case).to_json()))
+            except DecompositionResidual:
+                out.append(None)
+        return out
+
+    before = tables()
+    assert all(before) and sum('"terms": []' in t for t in before) == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "root_index", lambda spec: {})
+        blind = tables()
+    assert blind == [t if '"terms": []' in t else None for t in before]
+    assert tables() == before
 
 
 def test_commutator_single_term_structure_constant():

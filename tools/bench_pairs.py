@@ -14,9 +14,15 @@ gain in the median (positive is better) and its wins over the pairs, with the
 machine facts: nproc, CPU, Python, numpy, scipy, the OpenBLAS core and
 numpy's SIMD extensions (those ``np.show_runtime()`` lists).  The workloads,
 the metrics, the direction in which each is better and the run length come
-from BENCHMARK.json beside this script.  The file is rewritten after every
-run, so a stopped session leaves the pairs it finished.
-Nothing under either tree is changed.
+from BENCHMARK.json beside this script.
+
+The first CRITERIA_PAIRS pairs also time acceptance criteria 2 and 4 (the
+relation suites and the commutator tables): after the workloads of pair i,
+each tree runs ``python -m pytest --durations=0`` on the two criterion tests,
+in the pair's order, and the call durations pytest reports are summarized
+like a metric (lower is better).  The file is rewritten after every run, so a
+stopped session leaves the pairs it finished.  Nothing under either tree is
+changed: no bytecode or pytest cache is written.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +40,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+CRITERIA_PAIRS = 3
+# acceptance criteria timed on both sides: metric name -> test
+CRITERIA = {"criterion_2_s": "tests/test_acceptance.py::test_criterion_2_presentation_suites",
+            "criterion_4_s": "tests/test_acceptance.py::test_criterion_4_commutator_tables"}
+CRITERIA_METRICS = [{"name": name, "better": "lower", "bound": None} for name in CRITERIA]
 
 # run in a child with the interpreter and environment the benchmark runs get
 MACHINE_PROBE = r"""
@@ -138,6 +150,25 @@ def failed_runs(pairs: list) -> dict:
             for side in SIDES}
 
 
+def parse_criteria(code: int, stdout: str) -> dict:
+    """One criteria run's record from pytest's exit code and output: the call
+    duration of each test in CRITERIA (a test pytest did not time is left
+    out) and the number of failed tests."""
+    calls = {test: float(sec) for sec, test in
+             re.findall(r"^\s*([0-9.]+)s call\s+(\S+)\s*$", stdout, re.M)}
+    return {"exit": code, "failed": len(re.findall(r"^FAILED ", stdout, re.M)),
+            "metrics": {name: calls[test] for name, test in CRITERIA.items() if test in calls}}
+
+
+def run_criteria(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--durations=0", *CRITERIA.values()],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    return parse_criteria(proc.returncode, proc.stdout)
+
+
 def run_one(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -165,7 +196,9 @@ def main(argv=None) -> int:
            "order": "pair i runs seed i on both sides, parent first in odd pairs and change "
                     "first in even ones; every workload gets pair i before any gets pair i+1",
            "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
-           "workloads": {w: {"pairs": []} for w in workloads}}
+           "workloads": {w: {"pairs": []} for w in workloads},
+           "criteria": {"command": "python -m pytest -q -p no:cacheprovider --durations=0 "
+                                   + " ".join(CRITERIA.values()), "pairs": []}}
     for i in range(1, PAIRS + 1):
         order = SIDES if i % 2 else SIDES[::-1]
         for workload in workloads:
@@ -178,6 +211,16 @@ def main(argv=None) -> int:
             entry["pairs"].append(pair)
             entry["failed_runs"] = failed_runs(entry["pairs"])
             entry["summary"] = summarize(entry["pairs"], benchmark["end_to_end"])
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        if i <= CRITERIA_PAIRS:
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_criteria(trees[side])
+                print(f"bench_pairs: criteria pair {i} {side}: {pair[side]}", file=sys.stderr)
+            entry = doc["criteria"]
+            entry["pairs"].append(pair)
+            entry["failed_runs"] = failed_runs(entry["pairs"])
+            entry["summary"] = summarize(entry["pairs"], CRITERIA_METRICS)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
