@@ -144,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _vector(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
+    entries = text.split(",")
+    if not all(x.strip() for x in entries):
+        raise ParseError(f"vector {text!r} has an empty entry")
+    return [float(x) for x in entries]
 
 
 def _cmd_roots(args) -> int:

@@ -1,8 +1,8 @@
 """Lyapunov combinatorics of the split Cartan action.
 
-Exponent tables with multiplicities, stable/unstable/neutral splittings,
-bracket generation of the tangent space and strict feasibility of stable
-cycles.
+Exponent tables with multiplicities, the dimensions of the stable/unstable/
+neutral splittings, bracket generation of the tangent space and strict
+feasibility of stable cycles.
 
 Stable cycles are decided by least-distance programming (Lawson and Hanson,
 *Solving Least Squares Problems*, ch. 23) through one ``scipy.optimize.nnls``
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import UnknownRoot
-from .matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
-from .rootsystem import cartan_vector, embed, is_root, root_space_basis, roots
+from .matrixcore import DEFAULT_TOL, GroupSpec, bracket
+from .rootsystem import cartan_vector, is_root, root_space_basis, roots
 
 
 def dim_group(spec: GroupSpec) -> int:
@@ -56,86 +56,51 @@ def exponent_table(spec: GroupSpec) -> ExponentTable:
     return ExponentTable(tuple(entries))
 
 
-def _neutral_compact_basis(spec: GroupSpec) -> list:
-    """Basis of the zero-exponent directions beyond the Cartan itself."""
-    n, k, size = spec.n, spec.tail, spec.size
-    E = lambda r, c, v=1.0: basis_matrix(size, r, c, v)
-    out = []
-    if not spec.unitary:
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                out.append(E(2 * n + a, 2 * n + b) - E(2 * n + b, 2 * n + a))
-        return out
-    # unitary: torus directions i(e_ii + e_{i+n,i+n}) made traceless, plus su(k) tail
-    if k > 0:
-        tail_id = sum(E(2 * n + a, 2 * n + a) for a in range(1, k + 1))
-        for i in range(1, n + 1):
-            out.append(E(i, i, 1j) + E(i + n, i + n, 1j) - (2.0 / k) * 1j * tail_id)
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                out.append(E(2 * n + a, 2 * n + b) - E(2 * n + b, 2 * n + a))
-                out.append(E(2 * n + a, 2 * n + b, 1j) + E(2 * n + b, 2 * n + a, 1j))
-        for a in range(1, k):
-            out.append(E(2 * n + a, 2 * n + a, 1j) - E(2 * n + a + 1, 2 * n + a + 1, 1j))
-    else:
-        for i in range(1, n):
-            out.append(E(i, i, 1j) + E(i + n, i + n, 1j)
-                       - E(n, n, 1j) - E(2 * n, 2 * n, 1j))
-    return out
-
-
 @dataclass(frozen=True)
 class SplittingReport:
     t: tuple
     stable_dim: int
     unstable_dim: int
     neutral_dim: int
-    stable_basis: tuple
-    unstable_basis: tuple
-    neutral_basis: tuple
 
     def to_json(self) -> dict:
         return {"t": list(self.t), "stable_dim": self.stable_dim,
                 "unstable_dim": self.unstable_dim, "neutral_dim": self.neutral_dim}
 
 
-def _read_only(mats: list) -> tuple:
-    for M in mats:
-        M.flags.writeable = False
-    return tuple(mats)
-
-
 @lru_cache(maxsize=None)
-def _spaces_cached(spec: GroupSpec) -> tuple:
-    """The constants a splitting reads, built once per spec, all read-only:
-    the neutral basis (the Cartan, then the compact zero block), the root
-    coefficient matrix and each root's space basis, both in ``roots`` order."""
+def _root_table(spec: GroupSpec) -> tuple:
+    """The constants a splitting reads, built once per spec: the read-only
+    float coefficient matrix of the roots and their multiplicities, both in
+    ``roots`` order."""
     infos = roots(spec)
     coeffs = np.array([info.label.coeffs for info in infos], dtype=float)
     coeffs.flags.writeable = False
-    neutral = _read_only([embed(spec, e) for e in np.eye(spec.n)] + _neutral_compact_basis(spec))
-    return neutral, coeffs, tuple(_read_only(root_space_basis(spec, info.label)) for info in infos)
+    return coeffs, tuple(info.multiplicity for info in infos)
 
 
 def splitting(spec: GroupSpec, t) -> SplittingReport:
-    """Classify root-space directions by the sign of the exponent at t.
+    """Count root-space directions by the sign of the exponent at t.
 
-    Walls are allowed: root spaces with |value| <= DEFAULT_TOL.rel * (1 + |t|)
-    count as neutral, alongside the Cartan and the compact zero block.  The bases
-    in the report are shared read-only matrices.
+    Each root adds its multiplicity to the stable, unstable or neutral count.
+    Walls are allowed: roots with |value| <= DEFAULT_TOL.rel * (1 + |t|)
+    count as neutral, alongside the Cartan and the compact zero block
+    (``zero_multiplicity``).
     """
     t = cartan_vector(spec, t)
     wall = DEFAULT_TOL.rel * (1.0 + np.linalg.norm(t))
-    neutral_basis, coeffs, bases = _spaces_cached(spec)
-    stable, unstable, neutral = [], [], list(neutral_basis)
+    coeffs, mults = _root_table(spec)
+    stable, unstable, neutral = 0, 0, zero_multiplicity(spec)
     # every root value has at most two nonzero terms, each an exact product
     # of t_i with 1 or 2, so the one product rounds as each root's own dot
-    for val, basis in zip((coeffs @ t).tolist(), bases):
-        target = stable if val < -wall else (unstable if val > wall else neutral)
-        target.extend(basis)
-    return SplittingReport(tuple(float(x) for x in t),
-                           len(stable), len(unstable), len(neutral),
-                           tuple(stable), tuple(unstable), tuple(neutral))
+    for val, mult in zip((coeffs @ t).tolist(), mults):
+        if val < -wall:
+            stable += mult
+        elif val > wall:
+            unstable += mult
+        else:
+            neutral += mult
+    return SplittingReport(tuple(float(x) for x in t), stable, unstable, neutral)
 
 
 def _rank_of_span(mats) -> int:
@@ -151,7 +116,7 @@ def bracket_generation_check(spec: GroupSpec, include_brackets: bool = True):
     With brackets the span must be the whole Lie algebra.  Returns
     (ok, rank) where ok means rank == dim_group(spec).
     """
-    vectors = [M for basis in _spaces_cached(spec)[2] for M in basis]
+    vectors = [M for info in roots(spec) for M in root_space_basis(spec, info.label)]
     mats = list(vectors)
     if include_brackets:
         for a in range(len(vectors)):

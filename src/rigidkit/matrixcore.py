@@ -183,16 +183,9 @@ def in_group(M: np.ndarray, spec: GroupSpec) -> bool:
     return bool(abs(det - 1.0) <= DEFAULT_TOL.rel * 10)
 
 
-def _fmt(x: float) -> float:
-    # Round-trip via 17 significant digits so writers emit full precision.
-    return float(format(x, ".17g"))
-
-
 def mat_to_json(M: np.ndarray) -> dict:
     """Serialize to the wire format {"size": k, "entries": [[re, im], ...]}."""
-    size = M.shape[0]
-    entries = [[_fmt(v.real), _fmt(v.imag)] for v in M.reshape(-1)]
-    return {"size": size, "entries": entries}
+    return {"size": M.shape[0], "entries": [[z.real, z.imag] for z in M.reshape(-1).tolist()]}
 
 
 def _is_json_real(x) -> bool:

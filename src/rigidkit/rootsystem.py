@@ -79,7 +79,7 @@ class RootLabel:
     @cached_property
     def mirror(self) -> tuple:
         """The entry the invariant form pairs with the leading entry."""
-        return _mirror(len(self.coeffs), *self.position[1])
+        return mirror_position(len(self.coeffs), *self.position[1])
 
     @cached_property
     def _negated(self) -> "RootLabel":
@@ -176,18 +176,15 @@ def is_root(spec: GroupSpec, label: RootLabel) -> bool:
     return label.coeffs in root_index(spec)
 
 
-def _mirror(n: int, row: int, col: int) -> tuple:
-    s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
-    return s(col), s(row)
-
-
-def mirror_position(spec: GroupSpec, row: int, col: int) -> tuple:
-    """The entry the invariant form pairs with (row, col), 0-based.
+def mirror_position(n: int, row: int, col: int) -> tuple:
+    """The entry the invariant form pairs with (row, col), 0-based, for a
+    Cartan of rank n.
 
     Every algebra element has X[s(col), s(row)] = -conj(X[row, col]), where
     s swaps k and k + n for k < 2n and fixes the tail.
     """
-    return _mirror(spec.n, row, col)
+    s = lambda k: k if k >= 2 * n else (k + n if k < n else k - n)
+    return s(col), s(row)
 
 
 def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
@@ -201,7 +198,7 @@ def root_space_basis(spec: GroupSpec, label: RootLabel) -> list:
     entries = [(row, col)] if kind == "pm" else [(row, c) for c in range(2 * spec.n, spec.size)]
     out = []
     for pos in entries:
-        mirror = mirror_position(spec, *pos)
+        mirror = mirror_position(spec.n, *pos)
         out.append(E(pos) - E(mirror))
         if spec.unitary:
             out.append(E(pos, 1j) + E(mirror, 1j))

@@ -6,6 +6,7 @@ the terminating exponential series of a nilpotent matrix, the ordered product
 of a word's generators, and membership in the Lie algebra of the invariant form.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +23,10 @@ from rigidkit.rootsystem import (GenericPlaneReport, cartan_vector, hyperplane_r
 def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Exact exponential of a nilpotent matrix via the finite series.
 
-    Raises NotNilpotent if X^size does not vanish to tolerance.
+    Raises NotNilpotent unless ||X^size / (size-1)!|| <= tol.rel * (1 + ||X||)^size.
+    As in ``nilpotent_log``, the two sides are compared in log space, so the
+    bound cannot overflow, and the test is written so that a NaN or an
+    overflowed power fails it.
     """
     size = X.shape[0]
     if X.shape != (size, size):
@@ -35,9 +39,10 @@ def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             return result
         result += term
     power = term @ X  # X^size / (size-1)!
-    bound = tol.rel * (1.0 + np.linalg.norm(X)) ** size
-    if np.linalg.norm(power) > bound:
-        raise NotNilpotent(f"X^{size} has norm {np.linalg.norm(power):.3e}, not nilpotent")
+    norm_power, norm_x = np.linalg.norm(power), np.linalg.norm(X)
+    if not (math.isfinite(norm_x) and (norm_power == 0 or math.log(norm_power)
+            <= math.log(tol.rel) + size * math.log1p(norm_x))):
+        raise NotNilpotent(f"X^{size} has norm {norm_power:.3e}, not nilpotent")
     return result
 
 

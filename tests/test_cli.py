@@ -277,6 +277,17 @@ def test_non_finite_cartan_vector_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv, vector", [
+    (("lyapunov", "--t", "3,,2,1"), "3,,2,1"), (("lyapunov", "--t", "3,2,1,"), "3,2,1,"),
+    (("lyapunov", "--t", "3, ,2"), "3, ,2"),
+    (("genplane", "--v1", "1,2,,6", "--v2", "3,-1,2"), "1,2,,6")],
+    ids=["inner", "trailing", "blank", "genplane"])
+def test_empty_vector_entry_exit_2(capsys, argv, vector):
+    # an empty entry is refused, not dropped: the vector read is the one typed
+    err = _exit_2_one_line(capsys, *argv, "--family", "so", "--m", "4", "--n", "3")
+    assert repr(vector) in err and "empty entry" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"entries": []}, {"size": 2}, {"size": "2", "entries": []}, {"size": 1, "entries": [[1]]},
     {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2],

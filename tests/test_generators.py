@@ -203,7 +203,7 @@ def test_stencil_round_trip(spec, root):
     # every such entry has the root as its weight
     kind, (row, col) = root.position
     lead = [(row, c) for c in range(2 * spec.n, spec.size)] if kind == "vec" else [(row, col)]
-    want = set(lead) | {mirror_position(spec, *pos) for pos in lead}
+    want = set(lead) | {mirror_position(spec.n, *pos) for pos in lead}
     got = {(int(r), int(c)) for f in root_space_basis(spec, root) for r, c in np.argwhere(f != 0)}
     assert got == want
     for r, c in want:

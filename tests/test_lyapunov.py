@@ -11,7 +11,8 @@ from rigidkit.generators import Cx, Heis, RVec, Scalar, x_elem
 from rigidkit.lyapunov import (CycleSpec, bracket_generation_check, dim_group,
                                exponent_table, splitting,
                                stable_cycle_feasible, zero_multiplicity)
-from rigidkit.rootsystem import RootLabel, embed, parse_root, root_value, roots
+from rigidkit.rootsystem import (RootLabel, embed, parse_root, root_space_basis, root_value,
+                                 roots)
 from rigidkit.relations import rand_param
 
 SO43 = GroupSpec("so", 4, 3)
@@ -71,19 +72,26 @@ def test_splitting_zero_vector_all_neutral():
         assert rep.stable_dim == rep.unstable_dim == 0
 
 
-def test_splitting_reuses_cached_bases(monkeypatch):
-    # the root-space bases are built once per spec; a second splitting reads them
-    built = []
-    build = lyapunov.root_space_basis
-    monkeypatch.setattr(lyapunov, "root_space_basis",
-                        lambda spec, label: built.append(label) or build(spec, label))
-    spec = GroupSpec("su", 5, 4)
-    first = splitting(spec, [3.0, -2.0, 1.0, 0.5])
-    built.clear()
-    second = splitting(spec, [3.0, -2.0, 1.0, 0.5])
-    assert built == []
-    assert (second.stable_dim, second.unstable_dim) == (first.stable_dim, first.unstable_dim)
-    assert all(A is B for A, B in zip(first.stable_basis, second.stable_basis))
+def test_splitting_within_the_wall_counts_as_neutral():
+    # L2-L3 and L3-L2 are 1e-10 from zero, inside DEFAULT_TOL.rel * (1 + |t|)
+    for spec, dims in ((SO43, (8, 8, 5)), (GroupSpec("su", 4, 3), (19, 19, 10))):
+        rep = splitting(spec, [3.0, 2.0, 1.9999999999])
+        assert (rep.stable_dim, rep.unstable_dim, rep.neutral_dim) == dims
+
+
+def test_splitting_on_walls_counts_as_the_root_spaces():
+    # at integer t every root value is an exact integer, so its sign is exact;
+    # the reference counts root-space bases, the splitting root multiplicities.
+    # The grid {-1, 0, 1, 2}^n holds walls such as (2,2,1), (1,1,0) and (1,-1,0)
+    for spec in (GroupSpec("so", 5, 3), GroupSpec("su", 5, 3), GroupSpec("su", 5, 5)):
+        spaces = [(info.label, len(root_space_basis(spec, info.label))) for info in roots(spec)]
+        for t in itertools.product(range(-1, 3), repeat=spec.n):
+            want = [0, 0, zero_multiplicity(spec)]
+            for label, dim in spaces:
+                value = root_value(label, t)
+                want[0 if value < 0 else (1 if value > 0 else 2)] += dim
+            rep = splitting(spec, list(t))
+            assert [rep.stable_dim, rep.unstable_dim, rep.neutral_dim] == want, (spec, t)
 
 
 @pytest.mark.parametrize("t", [[1.0, np.nan, 2.0], [np.inf, 0.0, 0.0],
@@ -94,11 +102,9 @@ def test_splitting_rejects_non_finite_vectors(t):
 
 
 def test_splitting_neutral_basis_is_independent():
-    from rigidkit.lyapunov import _rank_of_span
     for spec in (SO43, SU33, GroupSpec("su", 5, 3), GroupSpec("so", 6, 3)):
         rep = splitting(spec, [3.0, 2.0, 1.0])
-        rank = _rank_of_span(list(rep.neutral_basis))
-        assert rank == rep.neutral_dim == zero_multiplicity(spec)
+        assert rep.neutral_dim == zero_multiplicity(spec)
         # stable and unstable dimensions agree at regular points
         assert rep.stable_dim == rep.unstable_dim
 

@@ -83,6 +83,21 @@ def test_exp_nilpotent_rejects_non_nilpotent():
         exp_nilpotent(np.diag([1.0, 2.0, 3.0]).astype(complex))
 
 
+def _nilpotent_with_nan(size):
+    X = np.zeros((size, size), dtype=complex)
+    X[0, 1] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("X", [1e40 * identity(8), 1e40 * identity(10), _nilpotent_with_nan(8)],
+                         ids=["1e40I-size8", "1e40I-size10", "nan-entry"])
+def test_exp_nilpotent_rejects_overflow_and_nan(X):
+    # size 8: X^8 / 7! and the bound both overflow to inf; size 10: the series
+    # itself overflows to NaN; a NaN entry: every comparison with NaN is false
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotNilpotent):
+        exp_nilpotent(X)
+
+
 def test_nilpotent_log_inverts_exp():
     rng = np.random.default_rng(0)
     spec = GroupSpec("su", 4, 3)

@@ -33,6 +33,8 @@ EXEMPT = {
     "lyapunov.bracket_generation_check": ("criterion 8", "bracket_generation_check"),
     "lyapunov._rank_of_span": ("criterion 8", "bracket_generation_check"),
     "matrixcore.bracket": ("criterion 8", "bracket_generation_check"),
+    "matrixcore.basis_matrix": ("criterion 8", "bracket_generation_check"),
+    "rootsystem.root_space_basis": ("criterion 8", "bracket_generation_check"),
     "lyapunov.dim_group": ("criteria 1 and 8", "dim_group"),
     "words.reconstruct": ("criterion 6", "reconstruct"),
     "relations.CommutatorTable.to_json": ("writes tests/golden/commutators.json", None),

@@ -10,7 +10,7 @@ from rigidkit.errors import (DecompositionResidual, NotOnSphere, OppositeRoots,
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
 from rigidkit.rootsystem import RootLabel, is_root, parse_root, roots
-from rigidkit import generators, lyapunov, relations, words
+from rigidkit import generators, relations, words
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
                                 suite_ids, suite_side_condition, trace_pairing, verify_all)
@@ -340,9 +340,9 @@ def test_word_memos_are_per_sample(suite_id, spec):
 
 def test_no_cache_outlives_a_patched_x_matrix():
     # chain and rotation factors are shared within one call only (the fixed
-    # rotation factors within one cache per (spec, j)), and the splitting
-    # caches hold no generator matrix: outputs computed before, under and
-    # after the negative-control patch must not leak into each other
+    # rotation factors within one cache per (spec, j)): outputs computed
+    # before, under and after the negative-control patch must not leak into
+    # each other
     so, su = GroupSpec("so", 5, 3), GroupSpec("su", 5, 3)
     roots_so = [parse_root(text, so) for text in ("L1-L2", "-L1-L2", "L3", "-L3")]
     roots_su = [parse_root(text, su) for text in ("L2+L3", "-L1", "2L1")]
@@ -354,26 +354,20 @@ def test_no_cache_outlives_a_patched_x_matrix():
     def outputs():
         return ([generators.w_matrix(spec, r, p) for spec, r, p in chains],
                 [generators.h_rot(so, 1, ab), generators.h_rot(su, 1, ab, "imag")],
-                [lyapunov.splitting(spec, [2.0, -1.0, 0.5]) for spec in (so, su)],
                 json.dumps([verify_all(spec, samples=2, seed=3) for spec in (so, su)]))
 
     def same(a, b):
         return all(np.array_equal(A, B) and A.dtype == B.dtype for A, B in zip(a, b))
 
-    ws, hs, splits, reports = outputs()
+    ws, hs, reports = outputs()
     generators._rot_frame.cache_clear()   # the patched run is the first to need the frames
     with pytest.MonkeyPatch.context() as patch:
         negate_opposite_factors(patch)
-        ws_bad, hs_bad, _, reports_bad = outputs()
+        ws_bad, hs_bad, reports_bad = outputs()
     assert not any(np.array_equal(A, B) for A, B in zip(ws + hs, ws_bad + hs_bad))
     assert reports_bad != reports
-    ws2, hs2, splits2, reports2 = outputs()
+    ws2, hs2, reports2 = outputs()
     assert same(ws, ws2) and same(hs, hs2) and reports2 == reports
-    for rep, rep2 in zip(splits, splits2):
-        for basis in ("stable_basis", "unstable_basis", "neutral_basis"):
-            assert same(getattr(rep, basis), getattr(rep2, basis))
-        with pytest.raises(ValueError):
-            rep.stable_basis[0][0, 0] = 1.0
 
 
 def test_commutator_path_hashes_no_label_or_spec(monkeypatch):

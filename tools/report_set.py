@@ -84,6 +84,10 @@ def runs(suites):
     cli("dash-chain", "chain", "--family", "so", "--m", "5", "--n", "3", "--root", "-L2",
         "--param", '{"a": [0.6, -0.8]}')
     cli("dash-lyapunov", "lyapunov", "--t", "-1,2,3")
+    # a splitting on walls: L1-L2 at (2,2,1), every root at 0, L2-L3 1e-10 off
+    for fam in ("so", "su"):
+        for name, t in (("wall", "2,2,1"), ("zero", "0,0,0"), ("near-wall", "3,2,1.9999999999")):
+            cli(f"lyapunov-{name}-{fam}", "lyapunov", "--family", fam, "--t", t)
     cli("dash-stable-cycle", "stable-cycle", "--family", "su", "--m", "4", "--roots", "-2L1,L1-L2")
     cli("dash-genplane", "genplane", "--v1", "-1,2,6", "--v2", "3,-1,2")
     cli("usage-missing-value", "chain", "--root", "--json", "--param", '{"t": 1.0}')  # exit 2
