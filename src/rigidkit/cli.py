@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import ParseError, RigidkitError
-from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, load_matrix
+from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, json_loads, load_matrix
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
 from .relations import run_suite, suite_ids, verify_all
@@ -45,22 +46,46 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+# ASCII decimal literals, the one numeric grammar of the command line: int() and
+# float() alone also read digit-group underscores ("1_0"), non-ASCII digits and
+# (float) inf and nan
+_LITERAL = {int: re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII),
+            float: re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*",
+                              re.ASCII)}
+
+
+def _number(kind):
+    """An argparse type, and the reader of each vector entry: ``kind`` (int or
+    float) of an ASCII decimal literal, with ASCII blanks around it; ValueError
+    for anything else."""
+    def parse(text: str):
+        if not _LITERAL[kind].fullmatch(text):
+            what = "an ASCII decimal integer" if kind is int else "a finite ASCII decimal number"
+            raise ValueError(f"{text!r} is not {what}")
+        return kind(text)
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _int_at_least(low: int, at_most: int | None = None):
     """An argparse type: a decimal integer of at least ``low`` and, when given,
     at most ``at_most``."""
     def parse(text: str) -> int:
-        if (not text.strip().isdigit() or int(text) < low
-                or at_most is not None and int(text) > at_most):
+        try:
+            value = _number(int)(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or at_most is not None and value > at_most:
             bounds = f"at least {low}" + ("" if at_most is None else f" and at most {at_most}")
             raise argparse.ArgumentTypeError(f"must be an integer of {bounds}, got {text!r}")
-        return int(text)
+        return value
     return parse
 
 
 def _add_spec_args(p):
     p.add_argument("--family", choices=("so", "su"), default="so")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--m", type=_number(int), default=4)
+    p.add_argument("--n", type=_number(int), default=3)
 
 
 def _add_run_args(p):
@@ -137,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trace-pairing", help="trace pairing identity on random sphere pairs")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--m", type=_number(int), default=4)
+    p.add_argument("--n", type=_number(int), default=3)
     _add_run_args(p)
     return ap
 
@@ -147,7 +172,7 @@ def _vector(text: str) -> list:
     entries = text.split(",")
     if not all(x.strip() for x in entries):
         raise ParseError(f"vector {text!r} has an empty entry")
-    return [float(x) for x in entries]
+    return [_number(float)(x) for x in entries]
 
 
 def _cmd_roots(args) -> int:
@@ -162,7 +187,7 @@ def _cmd_roots(args) -> int:
 def _cmd_chain(args) -> int:
     spec = _spec_from(args)
     root = parse_root(args.root, spec)
-    param = param_from_json(json.loads(args.param))
+    param = param_from_json(json_loads(args.param))
     cert = w_elem(spec, root, param)
     obj = cert.to_json()
     lines = [f"chain element for {root} of {spec}",

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (NotOnSphere, OutOfRange, ParseError, ShapeMismatch, UnknownRoot,
                      VariantUnsupported, ZeroParameter)
-from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, identity, in_group, json_complex,
-                         json_field, json_real)
+from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, _eye, identity, in_group,
+                         json_complex, json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
@@ -325,65 +325,100 @@ def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
 
 @lru_cache(maxsize=None)
 def _rot_frame(spec: GroupSpec, j: int) -> tuple:
-    """The labels L_n, -L_n and the fixed factors x_{+-L_n}(-sqrt2 e_j) of h^j,
-    shared and read-only: they depend on neither the angle nor the variant."""
+    """The label L_n and the fixed factors x_{+-L_n}(-sqrt2 e_j) of h^j in one (2, N, N)
+    array, shared and read-only: they depend on neither the angle nor the variant."""
     pos, neg = parse_label(f"L{spec.n}", spec.n), parse_label(f"-L{spec.n}", spec.n)
     e = [0.0] * spec.tail
     e[j - 1] = -np.sqrt(2.0)
     pe = Heis(0.0, e) if spec.unitary else RVec(e)
-    Xe, Ye = _x_matrix(spec, pos, pe), _x_matrix(spec, neg, pe)
-    Xe.flags.writeable = False
-    Ye.flags.writeable = False
-    return pos, neg, Xe, Ye
+    fixed = np.array([_x_matrix(spec, pos, pe), _x_matrix(spec, neg, pe)])
+    fixed.flags.writeable = False
+    return pos, fixed
 
 
-def h_rot(spec: GroupSpec, j: int, ab, variant: str = "real") -> np.ndarray:
+# where sqrt2 a and sqrt2 b sit in the vector parts of h^j: tail slots j - 1 and j
+_SLOTS = np.array([-1, 0])
+
+
+def _vec_letters(spec: GroupSpec, root: RootLabel, A: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """x_root(a) and x_{-root}(a) of a vector root for each vector part a in A
+    (D, ..., m-n), with central entries a0 (D, ...): the 2D distinct letters, each
+    for a stack of words, as one (2, D, ..., N, N) array.  Entry for entry they
+    are the letters _x_matrix builds: the identity is added last, and x + 0 and
+    -x + 0 are the 0 + x and 0 - x written there, signed zeros included."""
+    size = spec.size
+    S = np.zeros((2,) + A.shape[:-1] + (size, size), dtype=complex)
+    tail = slice(2 * spec.n, None)
+    col_part = -A.conj()
+    for i, r in enumerate((root, -root)):
+        row, col = r.position[1]
+        S[i, ..., row, tail] = A
+        S[i, ..., tail, col] = col_part
+        S[i, ..., row, col] = a0
+    S += _eye(size)
+    return S
+
+
+def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
     """The rotation word h^j_{L_n}(sqrt2 a, sqrt2 b), evaluated verbatim.
 
-    The compact block is the rotation [[a^2-b^2, -2ab], [2ab, a^2-b^2]] in
-    tail coordinates (j, j+1); the imaginary variant (unitary only) carries
-    the conjugate block.  The word is the defining 9-factor (orthogonal) or
-    6-factor (unitary) product, multiplied from its first letter; it is not
-    simplified.  Of its 6 (orthogonal) or 4 (unitary) distinct factors, the
-    2 fixed ones x_{+-L_n}(-sqrt2 e_j) are built once per (spec, j) and the
-    others once per call.
+    The compact block is the rotation [[a^2-b^2, -2ab], [2ab, a^2-b^2]] in tail
+    coordinates (j, j+1); the imaginary variant (unitary only) carries the conjugate
+    block.  The word is the defining 9-factor (orthogonal) or 6-factor (unitary)
+    product, multiplied letter by letter from its first letter; it is not simplified.
+
+    With an integer j this is the one-word call.  Given W words at once (j, a and b
+    arrays of W entries, variant one name or W of them), it evaluates them as one
+    (W, N, N) stack, each word byte for byte its one-word call.  Of a word's 6
+    (orthogonal) or 4 (unitary) distinct letters, the 2 fixed ones x_{+-L_n}(-sqrt2 e_j)
+    are built once per (spec, j), the others written for all the words at once.
     """
-    a, b = ab
-    if variant not in ("real", "imag"):
+    js, pair = np.asarray(j), np.asarray(ab)
+    shape = js.shape + (spec.size,) * 2
+    if js.size == 1:   # one word, stacked or not: 2-D products and scalar arithmetic
+        js, pair = js.reshape(()), pair.reshape(2)
+    names = [variant] * js.size if isinstance(variant, str) else list(variant)
+    if not {"real", "imag"}.issuperset(names):
         raise VariantUnsupported(f"variant must be 'real' or 'imag', got {variant!r}")
-    if variant == "imag" and not spec.unitary:
+    if "imag" in names and not spec.unitary:
         raise VariantUnsupported("the imaginary variant exists only for the unitary family")
-    if not (1 <= j <= spec.tail - 1):
+    planes = js.ravel().tolist()
+    if not all(1 <= i < spec.tail for i in planes):
         raise OutOfRange(f"need 1 <= j <= m-n-1 = {spec.tail - 1}, got j={j}")
+    a, b = pair[0], pair[1]
     # written so that a NaN in a or b fails it
-    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:
+    if not (abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9).all():
         raise NotOnSphere(f"(a, b) must satisfy |a|^2 + |b|^2 = 1, got {ab}")
-    if not spec.unitary and (isinstance(a, complex) or isinstance(b, complex)):
+    if not spec.unitary and pair.dtype.kind == "c":
         raise VariantUnsupported("orthogonal rotations take real (a, b)")
-    pos, neg, Xe, Ye = _rot_frame(spec, j)
-    s2 = np.sqrt(2.0)
-    k = spec.tail
+    if not planes:   # an empty stack
+        return np.empty(shape, dtype=complex)
+    frames = [_rot_frame(spec, i) for i in planes]
+    # the fixed factors, as they are for one word, else gathered into stacks
+    fixed = frames[0][1] if js.ndim == 0 else np.array([f[1] for f in frames]).swapaxes(0, 1)
+    Xe, Ye = (fixed[q].reshape(js.shape + (spec.size,) * 2) for q in (0, 1))
+    v = np.sqrt(2.0) * pair
+    # the vector parts: sqrt2 a at slot j, sqrt2 b at slot j+1 and zeros of either
+    # sign elsewhere (the sign of a zero shows in no letter entry)
+    A = _eye(spec.tail)[np.add.outer(_SLOTS, js)] * v[..., None]
     if spec.unitary:
-        c = np.zeros(k, dtype=complex)
-        c[j - 1] = s2 * a
-        c[j] = s2 * b * (1j if variant == "imag" else 1.0)
-        pc = Heis(0.0, tuple(c))
-        Xc, Yc = _x_matrix(spec, pos, pc), _x_matrix(spec, neg, pc)
-        word = (Xc, Yc, Xc, Xe, Ye, Xe)
+        # the imaginary variant turns sqrt2 b into sqrt2 b i
+        c = A[:1] + A[1:] * np.array([1j if n == "imag" else 1.0 for n in names]
+                                     ).reshape(js.shape + (1,))
+        # the central entry as _x_matrix forms it, by one dot product per word
+        a0 = -0.5 * np.array([np.vdot(w, w) for w in c.reshape(-1, spec.tail)]).real
+        L = _vec_letters(spec, frames[0][0], c, a0.reshape(c.shape[:-1]))
+        word = (L[0, 0], L[1, 0], L[0, 0], Xe, Ye, Xe)
     else:
-        va = [0.0] * k
-        vb = [0.0] * k
-        va[j - 1] = s2 * a
-        vb[j] = s2 * b
-        pa, pb = RVec(va), RVec(vb)
-        Xa, Xb, Ya, Yb = (_x_matrix(spec, r, q) for r, q in
-                          ((pos, pa), (pos, pb), (neg, pa), (neg, pb)))
-        word = (Xa, Xb, Ya, Yb, Xa, Xb, Xe, Ye, Xe)
-    return reduce(matmul, word)
+        # one nonzero entry per vector part, so its central entry is exactly -v^2/2
+        L = _vec_letters(spec, frames[0][0], A, -0.5 * (v * v))
+        word = (L[0, 0], L[0, 1], L[1, 0], L[1, 1], L[0, 0], L[0, 1], Xe, Ye, Xe)
+    return reduce(matmul, word).reshape(shape)
 
 
-def rot_from_angle(spec: GroupSpec, j: int, psi: float, variant: str = "real") -> np.ndarray:
-    """Rotation by angle psi in tail plane (j, j+1): h_rot doubles the angle."""
+def rot_from_angle(spec: GroupSpec, j, psi, variant="real") -> np.ndarray:
+    """Rotation by angle psi in tail plane (j, j+1): h_rot doubles the angle.
+    Like h_rot, it takes one word or arrays of W."""
     return h_rot(spec, j, (np.cos(psi / 2.0), np.sin(psi / 2.0)), variant)
 
 

@@ -230,6 +230,27 @@ def mat_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(size, size)
 
 
+def _strict(decoded):
+    """Both hooks of json_loads, in one function that every object reaches: a
+    decoded object's (key, value) pairs become a dict, a repeated key refused;
+    the name of a non-standard constant (NaN, Infinity, -Infinity) is refused."""
+    if isinstance(decoded, str):
+        raise ParseError(f"JSON number {decoded} is not finite: only finite numbers are read")
+    obj = {}
+    for key, value in decoded:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
+def json_loads(text: str):
+    """Decode JSON input strictly: ParseError for a key repeated within an
+    object (plain json keeps the last) and for NaN, Infinity and -Infinity,
+    which are not JSON."""
+    return json.loads(text, object_pairs_hook=_strict, parse_constant=_strict)
+
+
 def load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
-        return mat_from_json(json.load(fh))
+        return mat_from_json(json_loads(fh.read()))

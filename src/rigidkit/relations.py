@@ -30,7 +30,7 @@ from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpo
 from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
                          param_add, param_neg, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
-from .words import plane_word, staircase_rows, su2_euler
+from .words import plane_words, staircase_rows, su2_euler
 
 INV = np.linalg.inv
 
@@ -422,8 +422,8 @@ def _circle_mul(ab, cd):
 def _rot(spec, rng, i):
     j, (th1, th2), variant = _plane_draw(spec, rng, i, 2)
     ab, cd = (np.cos(th1), np.sin(th1)), (np.cos(th2), np.sin(th2))
-    yield ("h(ab) h(cd) = h(ab cd)", h_rot(spec, j, ab, variant) @ h_rot(spec, j, cd, variant),
-           h_rot(spec, j, _circle_mul(ab, cd), variant),
+    H = h_rot(spec, np.full(3, j), np.transpose([ab, cd, _circle_mul(ab, cd)]), variant)
+    yield ("h(ab) h(cd) = h(ab cd)", H[0] @ H[1], H[2],
            {"j": j, "theta": [th1, th2], "variant": variant})
 
 
@@ -570,7 +570,11 @@ def _symbol_circle(spec, rng, i):
     ab, cd, ef = ((np.cos(t), np.sin(t)) for t in angles)
     I = identity(spec.size)
     words = _Words(spec)
-    rot = lambda x: words.get(("rot", x), h_rot, spec, j, x, variant)
+    # the rotation words the symbols below use, evaluated as one stack
+    mul, minus_cd = _circle_mul, (-cd[0], -cd[1])
+    xs = dict.fromkeys([ab, cd, ef, mul(ab, cd), mul(cd, ab), mul(cd, ef), mul(ab, ef),
+                        mul(ab, mul(cd, ef)), mul(mul(ab, cd), ef), minus_cd, mul(cd, minus_cd)])
+    rot = dict(zip(xs, h_rot(spec, np.full(len(xs), j), np.transpose(list(xs)), variant))).get
     rotinv = lambda x: words.get(("rotinv", x), lambda: INV(rot(x)))
     sym = lambda x, y: words.get(("sym", x, y),
                                  lambda: rot(_circle_mul(x, y)) @ rotinv(x) @ rotinv(y))
@@ -581,7 +585,7 @@ def _symbol_circle(spec, rng, i):
     yield ("{ab cd, ef} = {ab, ef} {cd, ef}", sym(_circle_mul(ab, cd), ef),
            sym(ab, ef) @ sym(cd, ef), inputs)
     yield "{ab, cd} {cd, ab} = id", sym(ab, cd) @ sym(cd, ab), I, inputs
-    yield "{cd, -cd} = id", sym(cd, (-cd[0], -cd[1])), I, inputs
+    yield "{cd, -cd} = id", sym(cd, minus_cd), I, inputs
 
 
 def _braid(spec, rng, i):
@@ -594,9 +598,9 @@ def _braid(spec, rng, i):
         draws = tuple(_angle(rng) for _ in range(3))
         inputs = {"j": j, "angles": list(draws), "dir": i % 2}
         flip = lambda t: t
-    block = partial(plane_word, spec)
     p, q = (j, j + 1) if i % 2 == 0 else (j + 1, j)
-    L = block(p, draws[0]) @ block(q, draws[1]) @ block(p, draws[2])
+    L0, L1, L2 = plane_words(spec, (p, q, p), draws)
+    L = L0 @ L1 @ L2
     lo = 2 * spec.n + j - 1
     window = L[lo:lo + 3, lo:lo + 3]
     # the staircase of a 3-window W is W = A(e1) B(e2) A(e3), A rotating its plane
@@ -608,7 +612,8 @@ def _braid(spec, rng, i):
         f1, f2, f3 = flip(f1), flip(f2), flip(f3)
     else:
         (f1, f2), (f3,) = staircase_rows(window, spec.unitary)
-    R = block(q, f1) @ block(p, f2) @ block(q, f3)
+    R0, R1, R2 = plane_words(spec, (q, p, q), (f1, f2, f3))
+    R = R0 @ R1 @ R2
     name = "H^j H^j+1 H^j = H^j+1 H^j H^j+1" if i % 2 == 0 else "H^j+1 H^j H^j+1 = H^j H^j+1 H^j"
     yield name, L, R, inputs
 

@@ -8,19 +8,19 @@ unitary: an Euler triple real/imag/real per position) and reconstructs it from
 rotation words.  Both families share one path: a unitary Givens step per
 plane, applied in place, whose inverse is read through ``su2_euler`` (an
 orthogonal step is a real rotation, so only its first Euler angle is
-recorded), and one ``plane_word`` per entry.  The unchecked Givens core also
-solves the braid exchange of the relation suites.
+recorded), and the rotation words of all entries as one stack
+(``plane_words``).  The unchecked Givens core also solves the braid exchange
+of the relation suites.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
-from .matrixcore import DEFAULT_TOL, GroupSpec, identity, json_field
+from .matrixcore import DEFAULT_TOL, GroupSpec, identity, json_field, json_loads
 from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
                          param_to_json, rot_from_angle)
 from .rootsystem import RootLabel, parse_root
@@ -96,7 +96,7 @@ def word_from_json(obj, spec: GroupSpec) -> list:
 
 def load_word(path: str, spec: GroupSpec) -> list:
     with open(path) as fh:
-        return word_from_json(json.load(fh), spec)
+        return word_from_json(json_loads(fh.read()), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +148,19 @@ def su2_euler(V: np.ndarray) -> tuple:
     return _canon_angle(float(p1)), p2, _canon_angle(float(p3))
 
 
-def plane_word(spec: GroupSpec, i: int, entry) -> np.ndarray:
-    """The rotation word of one staircase entry in tail plane (i, i+1): Rr(angle)
-    for the orthogonal family, Rr(p1) Ri(p2) Rr(p3) for an Euler triple."""
+def plane_words(spec: GroupSpec, planes, entries) -> np.ndarray:
+    """The rotation words of staircase entries, entry e in tail plane
+    (planes[e], planes[e] + 1), as one (E, N, N) stack: Rr(angle) for the
+    orthogonal family, Rr(p1) Ri(p2) Rr(p3) for an Euler triple.  All 1 or 3
+    rotations per entry are one h_rot stack; a triple is then two stacked
+    products, each word byte for byte its one-word evaluation."""
+    planes, angles = np.asarray(planes), np.asarray(entries, dtype=float)
     if not spec.unitary:
-        return rot_from_angle(spec, i, entry)
-    p1, p2, p3 = entry
-    return (rot_from_angle(spec, i, p1, "real") @ rot_from_angle(spec, i, p2, "imag")
-            @ rot_from_angle(spec, i, p3, "real"))
+        return rot_from_angle(spec, planes, angles)
+    E = len(planes)
+    R = rot_from_angle(spec, np.tile(planes, 3), angles.T.ravel(),
+                       ["real"] * E + ["imag"] * E + ["real"] * E)
+    return R[:E] @ R[E:2 * E] @ R[2 * E:]
 
 
 def _check_tail_block(spec: GroupSpec, B: np.ndarray) -> np.ndarray:
@@ -216,10 +221,10 @@ def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
     k = spec.tail
     if stair.k != k or stair.family != spec.family:
         raise OutOfRange(f"staircase is for family={stair.family}, k={stair.k}, spec has {spec.family}, {k}")
+    planes = [i for row in stair.rows for i in range(1, len(row) + 1)]
     M = identity(spec.size)
-    for row in stair.rows:
-        for i, entry in enumerate(row, start=1):
-            M = M @ plane_word(spec, i, entry)
+    for P in plane_words(spec, planes, [entry for row in stair.rows for entry in row]):
+        M = M @ P
     if not DEFAULT_TOL.close(M[:2 * spec.n, :2 * spec.n], identity(2 * spec.n)):
         raise NotInGroup("rotation words left the compact tail subgroup")
     return M[2 * spec.n:, 2 * spec.n:]

@@ -3,7 +3,8 @@ negative-control patch of the relation suites.
 
 The references are the plain definitions the package's closed forms replace:
 the terminating exponential series of a nilpotent matrix, the ordered product
-of a word's generators, and membership in the Lie algebra of the invariant form.
+of a word's generators, the rotation words h^j and the staircase product built
+one letter at a time, and membership in the Lie algebra of the invariant form.
 """
 
 import math
@@ -14,10 +15,10 @@ import numpy as np
 
 from rigidkit import generators, relations
 from rigidkit.errors import NotNilpotent, SizeMismatch
-from rigidkit.generators import param_neg, x_elem
+from rigidkit.generators import Heis, RVec, param_neg, x_elem
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, identity
 from rigidkit.rootsystem import (GenericPlaneReport, cartan_vector, hyperplane_representatives,
-                                 root_value)
+                                 parse_root, root_value)
 
 
 def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -55,6 +56,48 @@ def eval_word(spec: GroupSpec, word) -> np.ndarray:
     return M
 
 
+def verbatim_h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
+    """The rotation word h^j_{L_n}(sqrt2 a, sqrt2 b) built letter by letter, one
+    x_elem per letter, and multiplied in word order from its first letter."""
+    a, b = ab
+    s2, k = np.sqrt(2.0), spec.tail
+    pos, neg = parse_root(f"L{spec.n}", spec), parse_root(f"-L{spec.n}", spec)
+    e = np.zeros(k)
+    e[j - 1] = -s2
+    if spec.unitary:
+        c = np.zeros(k, dtype=complex)
+        c[j - 1], c[j] = s2 * a, s2 * b * (1j if variant == "imag" else 1.0)
+        pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
+        word = [(pos, pc), (neg, pc), (pos, pc), (pos, pe), (neg, pe), (pos, pe)]
+    else:
+        va, vb = np.zeros(k), np.zeros(k)
+        va[j - 1], vb[j] = s2 * a, s2 * b
+        pa, pb, pe = RVec(va), RVec(vb), RVec(e)
+        word = [(pos, pa), (pos, pb), (neg, pa), (neg, pb), (pos, pa), (pos, pb),
+                (pos, pe), (neg, pe), (pos, pe)]
+    M = x_elem(spec, *word[0])
+    for root, q in word[1:]:
+        M = M @ x_elem(spec, root, q)
+    return M
+
+
+def verbatim_reconstruct(spec: GroupSpec, stair) -> np.ndarray:
+    """The tail block of a staircase's product, one rotation word at a time: from
+    the identity, each entry's word Rr(angle) (orthogonal) or Rr(p1) Ri(p2) Rr(p3)
+    (unitary), every rotation by psi being verbatim_h_rot at (cos psi/2, sin psi/2)."""
+    def rot(i, psi, variant):
+        return verbatim_h_rot(spec, i, (np.cos(psi / 2.0), np.sin(psi / 2.0)), variant)
+    M = identity(spec.size)
+    for row in stair.rows:
+        for i, entry in enumerate(row, start=1):
+            if spec.unitary:
+                P = rot(i, entry[0], "real") @ rot(i, entry[1], "imag") @ rot(i, entry[2], "real")
+            else:
+                P = rot(i, entry, "real")
+            M = M @ P
+    return M[2 * spec.n:, 2 * spec.n:]
+
+
 def in_algebra(X: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff X is in the Lie algebra of the form: X*G + GX = 0."""
     G = _form_cached(spec)
@@ -81,7 +124,8 @@ def generic_plane_pairwise(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
 
 
 def negate_opposite_factors(monkeypatch):
-    """x_alpha(p) is built as x_alpha(-p) for every negative root alpha."""
+    """x_alpha(p) is built as x_alpha(-p) for every negative root alpha, one
+    letter at a time or a stack of them."""
     build = generators._x_matrix
 
     def wrong(spec, root, p):
@@ -90,6 +134,14 @@ def negate_opposite_factors(monkeypatch):
         return build(spec, root, p)
     monkeypatch.setattr(generators, "_x_matrix", wrong)
     monkeypatch.setattr(relations, "_x_matrix", wrong)
+    # h_rot writes the letters of L_n and -L_n for a stack of words at once
+    letters = generators._vec_letters
+
+    def wrong_letters(spec, root, A, a0):
+        S = letters(spec, root, A, a0)
+        S[1] = letters(spec, root, -A, a0)[1]
+        return S
+    monkeypatch.setattr(generators, "_vec_letters", wrong_letters)
     # h_rot's fixed factors come from a cache: the patched run fills a fresh one,
     # which goes with the patch, so neither run sees the other's factors
     monkeypatch.setattr(generators, "_rot_frame",

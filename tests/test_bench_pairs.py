@@ -61,31 +61,41 @@ def test_summarize_a_single_pair_and_a_gain_beyond_the_spread():
                                                   "op_p50_ms": {"pairs": 0}}
 
 
-def _criteria_out(c2, c4, failed=()):
+def _criteria_out(c2, c4, c6=4.0, failed=()):
     lines = ["ACCEPTANCE 2 (presentation suites): PASS  [worst residual 1.2e-13, 14.1s]",
-             ".ACCEPTANCE 4 (commutator tables): PASS  [worst residual 6.0e-16]", "."]
+             ".ACCEPTANCE 4 (commutator tables): PASS  [worst residual 6.0e-16]",
+             ".ACCEPTANCE 6 (staircase normal form): PASS  [worst round-trip residual 1.1e-15]",
+             "."]
     lines += [f"FAILED {test} - AssertionError" for test in failed]
     lines += ["=" * 30 + " slowest durations " + "=" * 30]
     if c4 is not None:
         lines.append(f"{c4:.2f}s call     {bench_pairs.CRITERIA['criterion_4_s']}")
     lines.append(f"{c2:.2f}s call     {bench_pairs.CRITERIA['criterion_2_s']}")
+    if c6 is not None:
+        lines.append(f"{c6:.2f}s call     {bench_pairs.CRITERIA['criterion_6_s']}")
     lines.append(f"0.01s setup    {bench_pairs.CRITERIA['criterion_2_s']}")
-    out = "\n".join(lines) + "\n2 passed in 70.1s\n"
+    out = "\n".join(lines) + "\n3 passed in 74.1s\n"
     return bench_pairs.parse_criteria(1 if failed else 0, out)
 
 
+def test_criteria_are_the_three_timed_tests():
+    assert list(bench_pairs.CRITERIA) == ["criterion_2_s", "criterion_4_s", "criterion_6_s"]
+    assert bench_pairs.CRITERIA["criterion_6_s"].endswith("::test_criterion_6_staircase_roundtrip")
+    assert [m["name"] for m in bench_pairs.CRITERIA_METRICS] == list(bench_pairs.CRITERIA)
+
+
 def test_parse_criteria_reads_the_call_durations():
-    assert _criteria_out(19.8, 56.9) == {"exit": 0, "failed": 0, "metrics": {
-        "criterion_2_s": 19.8, "criterion_4_s": 56.9}}
+    assert _criteria_out(19.8, 56.9, 4.2) == {"exit": 0, "failed": 0, "metrics": {
+        "criterion_2_s": 19.8, "criterion_4_s": 56.9, "criterion_6_s": 4.2}}
     # a test pytest did not time is left out; a failed test is counted
-    rec = _criteria_out(20.0, None, failed=["tests/test_acceptance.py::test_criterion_4"])
+    rec = _criteria_out(20.0, None, None, failed=["tests/test_acceptance.py::test_criterion_4"])
     assert rec == {"exit": 1, "failed": 1, "metrics": {"criterion_2_s": 20.0}}
 
 
 def test_summarize_criteria_lower_is_better():
-    pairs = [{"parent": _criteria_out(20.0, 57.0), "change": _criteria_out(20.5, 44.0)},
-             {"parent": _criteria_out(19.0, 55.0), "change": _criteria_out(19.5, 43.0)},
-             {"parent": _criteria_out(21.0, 59.0), "change": _criteria_out(20.5, 45.0)}]
+    pairs = [{"parent": _criteria_out(20.0, 57.0, 4.1), "change": _criteria_out(20.5, 44.0, 2.9)},
+             {"parent": _criteria_out(19.0, 55.0, 4.0), "change": _criteria_out(19.5, 43.0, 2.8)},
+             {"parent": _criteria_out(21.0, 59.0, 4.3), "change": _criteria_out(20.5, 45.0, 3.0)}]
     summary = bench_pairs.summarize(pairs, bench_pairs.CRITERIA_METRICS)
     c4 = summary["criterion_4_s"]
     assert (c4["parent"]["median"], c4["change"]["median"]) == (57.0, 44.0)
@@ -93,4 +103,7 @@ def test_summarize_criteria_lower_is_better():
     assert (c4["change_wins"], c4["beyond_parent_iqr"], c4["bound"]) == (3, True, None)
     c2 = summary["criterion_2_s"]
     assert (c2["gain"], c2["change_wins"]) == (pytest.approx(-0.5 / 20.0), 1)
+    c6 = summary["criterion_6_s"]
+    assert (c6["parent"]["median"], c6["change"]["median"]) == (4.1, 2.9)
+    assert (c6["gain"], c6["change_wins"]) == (pytest.approx(1.2 / 4.1), 3)
     assert bench_pairs.failed_runs(pairs) == {"parent": 0, "change": 0}

@@ -288,6 +288,66 @@ def test_empty_vector_entry_exit_2(capsys, argv, vector):
     assert repr(vector) in err and "empty entry" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lyapunov", "--t", "3,1_0,1"), ("lyapunov", "--t", "\u0661,2,3"),
+    ("genplane", "--v1", "1,2,6", "--v2", "3,-1,\uff12"), ("lyapunov", "--t", "3,0x1,1")],
+    ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "hex"])
+def test_vector_entry_not_an_ascii_decimal_exit_2(capsys, argv):
+    # float() reads '1_0' as 10 and '\u0661' as 1: each entry must be the number typed
+    err = _exit_2_one_line(capsys, *argv, "--family", "so", "--m", "4", "--n", "3")
+    assert "ASCII decimal" in err
+
+
+@pytest.mark.parametrize("argv", [("--m", "1_0"), ("--n", "\u0663"), ("--samples", "\u0661\u0660"),
+                                  ("--seed", "4_2")], ids=["m", "n", "samples", "seed"])
+def test_integer_option_not_an_ascii_decimal_exit_2(capsys, argv):
+    err = _exit_2_one_line(capsys, "verify", "--suite", "additivity", "--family", "so",
+                           "--m", "4", "--n", "3", "--samples", "2", *argv)
+    assert argv[0] in err
+
+
+def test_ascii_decimal_entries_are_read_as_typed(capsys):
+    code, out, _ = run(capsys, "lyapunov", "--family", "so", "--m", "4", "--n", "3",
+                       "--t", " 3.5 ,+2e0,.5", "--json")
+    assert code == 0
+    assert json.loads(out)["splitting"]["t"] == [3.5, 2.0, 0.5]
+
+
+# each strictly rejected JSON input, read as a --param, a matrix file and a word file
+STRICT_JSON = {"duplicate-key": ('{"t": 1, "t": 2}', "duplicate key 't'"),
+               "nan": ('{"t": NaN}', "NaN is not finite"),
+               "infinity": ('{"t": Infinity}', "Infinity is not finite"),
+               "minus-infinity": ('{"t": -Infinity}', "-Infinity is not finite")}
+
+
+@pytest.mark.parametrize("case", STRICT_JSON)
+def test_strict_json_param_exit_2(capsys, case):
+    text, why = STRICT_JSON[case]
+    err = _exit_2_one_line(capsys, "chain", "--family", "so", "--m", "5", "--n", "3",
+                           "--root", "L1-L2", "--param", text)
+    assert why in err
+
+
+@pytest.mark.parametrize("case", STRICT_JSON)
+def test_strict_json_matrix_file_exit_2(tmp_path, capsys, case):
+    text, why = STRICT_JSON[case]
+    path = tmp_path / "block.json"
+    path.write_text('{"size": 1, "entries": [[1, 0]], "pad": ' + text + "}")
+    err = _exit_2_one_line(capsys, "normalform", "--family", "so", "--k", "2", "--matrix",
+                           str(path))
+    assert why in err
+
+
+@pytest.mark.parametrize("case", STRICT_JSON)
+def test_strict_json_word_file_exit_2(tmp_path, capsys, case):
+    text, why = STRICT_JSON[case]
+    path = tmp_path / "word.json"
+    path.write_text('[{"root": "L1-L2", "param": ' + text + "}]")
+    err = _exit_2_one_line(capsys, "reduce", "--family", "so", "--m", "4", "--n", "3",
+                           "--word", str(path))
+    assert why in err
+
+
 @pytest.mark.parametrize("doc", [
     {"entries": []}, {"size": 2}, {"size": "2", "entries": []}, {"size": 1, "entries": [[1]]},
     {"size": 1, "entries": [["1", 0]]}, {"size": 1, "entries": 5}, [1, 2],

@@ -13,7 +13,7 @@ from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_spa
 from rigidkit.relations import _extract_term, rand_param, rng_for
 from rigidkit import generators, matrixcore
 
-from reference import exp_nilpotent
+from reference import exp_nilpotent, verbatim_h_rot
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -295,14 +295,22 @@ def test_h_rot_identity_cases():
 
 
 def _count_builds(monkeypatch):
-    """Count generators._x_matrix calls; the returned list grows by one per build."""
+    """Count the letter builds: one per generators._x_matrix call, and 2 len(A) per
+    generators._vec_letters(spec, root, A, a0) call, which builds the len(A)
+    distinct letters of root and of -root, each for a whole stack of words; the
+    returned list grows by one per build."""
     calls = []
-    build = generators._x_matrix
+    build, letters = generators._x_matrix, generators._vec_letters
 
     def counted(spec, root, p):
         calls.append(root)
         return build(spec, root, p)
+
+    def counted_letters(spec, root, A, a0):
+        calls.extend([root, -root] * len(A))
+        return letters(spec, root, A, a0)
     monkeypatch.setattr(generators, "_x_matrix", counted)
+    monkeypatch.setattr(generators, "_vec_letters", counted_letters)
     return calls
 
 
@@ -325,30 +333,6 @@ def test_chain_builds_each_distinct_factor_once(monkeypatch):
         assert np.array_equal(w, X0 @ Y0 @ X1)
 
 
-def _verbatim_h_rot(spec, j, ab, variant="real"):
-    """The rotation word built factor by factor, one build per letter."""
-    a, b = ab
-    s2, k = np.sqrt(2.0), spec.tail
-    pos, neg = parse_root(f"L{spec.n}", spec), parse_root(f"-L{spec.n}", spec)
-    e = np.zeros(k)
-    e[j - 1] = -s2
-    if spec.unitary:
-        c = np.zeros(k, dtype=complex)
-        c[j - 1], c[j] = s2 * a, s2 * b * (1j if variant == "imag" else 1.0)
-        pc, pe = Heis(0.0, tuple(c)), Heis(0.0, tuple(e))
-        word = [(pos, pc), (neg, pc), (pos, pc), (pos, pe), (neg, pe), (pos, pe)]
-    else:
-        va, vb = np.zeros(k), np.zeros(k)
-        va[j - 1], vb[j] = s2 * a, s2 * b
-        pa, pb, pe = RVec(va), RVec(vb), RVec(e)
-        word = [(pos, pa), (pos, pb), (neg, pa), (neg, pb), (pos, pa), (pos, pb),
-                (pos, pe), (neg, pe), (pos, pe)]
-    M = identity(spec.size)
-    for root, q in word:
-        M = M @ x_elem(spec, root, q)
-    return M
-
-
 def test_h_rot_builds_each_distinct_factor_once(monkeypatch):
     # 6 distinct factors of the 9-letter orthogonal word, 4 of the 6-letter
     # unitary one; the 2 fixed factors x_{+-L_n}(-sqrt2 e_j) are built on the
@@ -363,7 +347,7 @@ def test_h_rot_builds_each_distinct_factor_once(monkeypatch):
             calls.clear()
             M = h_rot(spec, j, ab, variant)
             assert len(calls) == builds - 2 * warm, (spec, variant, warm)
-            assert np.array_equal(M, _verbatim_h_rot(spec, j, ab, variant))
+            assert np.array_equal(M, verbatim_h_rot(spec, j, ab, variant))
 
 
 _H_ROT_SPECS = [GroupSpec(f, m, 3) for f in ("so", "su") for m in range(5, 9)]
@@ -374,19 +358,35 @@ _H_ROT_SPECS = [GroupSpec(f, m, 3) for f in ("so", "su") for m in range(5, 9)]
     for variant in (("real", "imag") if spec.unitary else ("real",))],
     ids=str)
 def test_h_rot_is_the_verbatim_word(spec, j, variant):
-    # the special angles (a sign, a zero, a negative zero) and a few generic ones
+    # the special angles (a sign, a zero, a negative zero) and a few generic ones,
+    # byte for byte, one word at a time and as one stack
     t = np.random.default_rng([spec.size, j]).uniform(-np.pi, np.pi, size=4)
     angles = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0),
               *zip(np.cos(t), np.sin(t))]
-    for ab in angles:
-        assert np.array_equal(h_rot(spec, j, ab, variant), _verbatim_h_rot(spec, j, ab, variant))
+    words = [verbatim_h_rot(spec, j, ab, variant).tobytes() for ab in angles]
+    assert [h_rot(spec, j, ab, variant).tobytes() for ab in angles] == words
+    stack = h_rot(spec, np.full(len(angles), j), np.array(angles).T, variant)
+    assert stack.shape == (len(angles), spec.size, spec.size)
+    assert [M.tobytes() for M in stack] == words
+
+
+def test_h_rot_stack_mixes_planes_and_variants():
+    # W words over every plane and both variants, in one call
+    spec = GroupSpec("su", 7, 3)
+    rng = np.random.default_rng(11)
+    js = rng.integers(1, spec.tail, size=12)
+    theta = rng.uniform(-np.pi, np.pi, size=12)
+    variants = ["imag" if x else "real" for x in rng.integers(0, 2, size=12)]
+    stack = h_rot(spec, js, (np.cos(theta), np.sin(theta)), variants)
+    for M, j, t, variant in zip(stack, js, theta, variants):
+        assert M.tobytes() == verbatim_h_rot(spec, j, (np.cos(t), np.sin(t)), variant).tobytes()
 
 
 def test_h_rot_frame_is_read_only():
     spec = GroupSpec("su", 6, 3)
     h_rot(spec, 2, (0.6, 0.8))
-    _, _, Xe, Ye = generators._rot_frame(spec, 2)
-    for X in (Xe, Ye):
+    _, fixed = generators._rot_frame(spec, 2)
+    for X in fixed:
         assert not X.flags.writeable
         with pytest.raises(ValueError):
             X[0, 0] = 0.0

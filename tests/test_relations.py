@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rigidkit.errors import (DecompositionResidual, NotOnSphere, OppositeRoots,
+from rigidkit.errors import (DecompositionResidual, NotInGroup, NotOnSphere, OppositeRoots,
                              SideConditionViolated, UnknownSuite)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
@@ -350,24 +350,35 @@ def test_no_cache_outlives_a_patched_x_matrix():
     chains = [(spec, r, relations.rand_param(spec, r, rng, invertible=True))
               for spec, labels in ((so, roots_so), (su, roots_su)) for r in labels]
     ab = (np.cos(0.4), np.sin(0.4))
+    # staircases of one SO(3) and one SU(3) block, reconstructed as one stack each
+    stairs = [(GroupSpec(family, 6, 3), words.Staircase(family, 3, rows)) for family, rows in
+              (("so", ((0.4, -1.2), (2.0,))),
+               ("su", (((0.4, 0.3, -0.2), (1.0, 0.0, 0.0)), ((-2.0, 1.5, 0.7),))))]
+
+    def rebuilt(spec, stair):
+        try:
+            return words.reconstruct(spec, stair).tobytes()
+        except NotInGroup as exc:   # the patched words leave the compact tail subgroup
+            return str(exc)
 
     def outputs():
         return ([generators.w_matrix(spec, r, p) for spec, r, p in chains],
                 [generators.h_rot(so, 1, ab), generators.h_rot(su, 1, ab, "imag")],
+                [rebuilt(spec, stair) for spec, stair in stairs],
                 json.dumps([verify_all(spec, samples=2, seed=3) for spec in (so, su)]))
 
     def same(a, b):
         return all(np.array_equal(A, B) and A.dtype == B.dtype for A, B in zip(a, b))
 
-    ws, hs, reports = outputs()
+    ws, hs, blocks, reports = outputs()
     generators._rot_frame.cache_clear()   # the patched run is the first to need the frames
     with pytest.MonkeyPatch.context() as patch:
         negate_opposite_factors(patch)
-        ws_bad, hs_bad, reports_bad = outputs()
+        ws_bad, hs_bad, blocks_bad, reports_bad = outputs()
     assert not any(np.array_equal(A, B) for A, B in zip(ws + hs, ws_bad + hs_bad))
-    assert reports_bad != reports
-    ws2, hs2, reports2 = outputs()
-    assert same(ws, ws2) and same(hs, hs2) and reports2 == reports
+    assert all(a != b for a, b in zip(blocks, blocks_bad)) and reports_bad != reports
+    ws2, hs2, blocks2, reports2 = outputs()
+    assert same(ws, ws2) and same(hs, hs2) and blocks2 == blocks and reports2 == reports
 
 
 def test_commutator_path_hashes_no_label_or_spec(monkeypatch):
@@ -424,8 +435,10 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
         # ab cd and -cd: one inverse per distinct word
         assert len(inv) == 6
         # the words ab, cd, ef, cd ef, ab cd (= cd ab), ab ef, ab (cd ef), (ab cd) ef,
-        # -cd and cd (-cd): 10, or 9 where the two triple products round alike
-        words = [args[2] for args in rot]
+        # -cd and cd (-cd): 10, or 9 where the two triple products round alike, all
+        # in one stacked call
+        assert len(rot) == 1
+        words = [tuple(x) for x in np.asarray(rot[0][2]).T]
         assert len(words) in (9, 10) and len(set(words)) == len(words)
         assert not chain
     for i in range(12):

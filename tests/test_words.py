@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,10 +12,17 @@ from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
 from rigidkit.generators import Cx, Heis, Scalar, w_closed_form, w_matrix
 from rigidkit.rootsystem import parse_root, roots
 from rigidkit.relations import rand_param, rng_for
-from rigidkit.words import (Letter, free_reduce, load_word, reconstruct, staircase_decompose,
+from rigidkit import generators
+from rigidkit.words import (Letter, Staircase, free_reduce, load_word, reconstruct,
+                            staircase_decompose,
                             su2_euler, word_from_json, word_to_json)
 
-from reference import eval_word
+from reference import eval_word, negate_opposite_factors, verbatim_reconstruct
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_report_set = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
+report_set = importlib.util.module_from_spec(_report_set)
+_report_set.loader.exec_module(report_set)
 
 SO43 = GroupSpec("so", 4, 3)
 SU43 = GroupSpec("su", 4, 3)
@@ -139,6 +148,59 @@ def _rand_su(rng, k):
     Q, R = np.linalg.qr(A)
     Q = Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
     return Q / np.linalg.det(Q) ** (1.0 / k)
+
+
+def _rand_block(rng, family, k):
+    return _rand_su(rng, k) if family == "su" else _rand_so(rng, k)
+
+
+# staircase entries at the special angles: the gimbal locks of an Euler triple
+# (middle angle 0 and pi/2, last angle 0), signed zeros, and half and full turns
+_SPECIAL_ANGLES = (0.0, -0.0, np.pi / 2, np.pi, -np.pi, 2 * np.pi, -2 * np.pi)
+_LOCKED_TRIPLES = ((0.3, 0.0, 0.0), (-1.1, np.pi / 2, 0.0), (0.0, -0.0, 0.0),
+                   (-0.0, 0.0, -0.0), (np.pi, np.pi / 2, -np.pi), (2.0, -0.0, np.pi / 2))
+
+
+def _special_staircases(family, k):
+    """Staircases whose entries cycle through the special angles or triples."""
+    pool = _LOCKED_TRIPLES if family == "su" else _SPECIAL_ANGLES
+    entries = iter(pool * k * k)
+    for shift in range(len(pool)):
+        next(entries)   # a new start in the pool for each staircase
+        yield Staircase(family, k, tuple(tuple(next(entries) for _ in range(kk - 1))
+                                         for kk in range(k, 1, -1)))
+
+
+@pytest.mark.parametrize("family", ["so", "su"])
+def test_reconstruct_is_the_word_by_word_product(family):
+    # one stack per staircase, byte for byte the product of its rotation words,
+    # each built one letter at a time in word order
+    rng = np.random.default_rng(21)
+    perm3 = np.array([complex(*z) for z in report_set.PERM3["entries"]]).reshape(3, 3)
+    for k in range(2, 7):
+        spec = GroupSpec(family, 3 + k, 3)
+        blocks = [_rand_block(rng, family, k) for _ in range(6)] + ([perm3] if k == 3 else [])
+        stairs = [staircase_decompose(spec, B) for B in blocks]
+        for stair in stairs + list(_special_staircases(family, k)):
+            assert reconstruct(spec, stair).tobytes() == verbatim_reconstruct(spec, stair).tobytes()
+
+
+@pytest.mark.parametrize("family", ["so", "su"])
+def test_reconstruct_fails_under_the_negative_control(monkeypatch, family):
+    # the stacked letters are built through the patched seam: x_alpha(-p) for
+    # the negative root -L_n takes the words out of the compact tail subgroup
+    spec = GroupSpec(family, 7, 3)
+    B = _rand_block(np.random.default_rng(4), family, 4)
+    stair = staircase_decompose(spec, B)
+    assert DEFAULT_TOL.close(reconstruct(spec, stair), B)
+    frames = generators._rot_frame   # warm, built unpatched
+    negate_opposite_factors(monkeypatch)
+    with pytest.raises(NotInGroup):
+        reconstruct(spec, stair)
+    # with the unpatched fixed factors back, only the stacked letters are wrong
+    monkeypatch.setattr(generators, "_rot_frame", frames)
+    with pytest.raises(NotInGroup):
+        reconstruct(spec, stair)
 
 
 def test_staircase_identity():

@@ -16,9 +16,10 @@ numpy's SIMD extensions (those ``np.show_runtime()`` lists).  The workloads,
 the metrics, the direction in which each is better and the run length come
 from BENCHMARK.json beside this script.
 
-The first CRITERIA_PAIRS pairs also time acceptance criteria 2 and 4 (the
-relation suites and the commutator tables): after the workloads of pair i,
-each tree runs ``python -m pytest --durations=0`` on the two criterion tests,
+The first CRITERIA_PAIRS pairs also time acceptance criteria 2, 4 and 6 (the
+relation suites, the commutator tables and the staircase round-trips): after
+the workloads of pair i, each tree runs ``python -m pytest --durations=0`` on
+the three criterion tests,
 in the pair's order, and the call durations pytest reports are summarized
 like a metric (lower is better).  The file is rewritten after every run, so a
 stopped session leaves the pairs it finished.  Nothing under either tree is
@@ -43,7 +44,8 @@ PAIRS = 10
 CRITERIA_PAIRS = 3
 # acceptance criteria timed on both sides: metric name -> test
 CRITERIA = {"criterion_2_s": "tests/test_acceptance.py::test_criterion_2_presentation_suites",
-            "criterion_4_s": "tests/test_acceptance.py::test_criterion_4_commutator_tables"}
+            "criterion_4_s": "tests/test_acceptance.py::test_criterion_4_commutator_tables",
+            "criterion_6_s": "tests/test_acceptance.py::test_criterion_6_staircase_roundtrip"}
 CRITERIA_METRICS = [{"name": name, "better": "lower", "bound": None} for name in CRITERIA]
 
 # run in a child with the interpreter and environment the benchmark runs get
