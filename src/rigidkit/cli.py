@@ -82,6 +82,15 @@ def _int_at_least(low: int, at_most: int | None = None):
     return parse
 
 
+def _tolerance(text: str) -> Tolerance:
+    """An argparse type: the verdict tolerance, an ASCII decimal strictly in (0, 1)."""
+    try:
+        return Tolerance(_number(float)(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be an ASCII decimal number above 0 and below 1, got {text!r}")
+
+
 def _add_spec_args(p):
     p.add_argument("--family", choices=("so", "su"), default="so")
     p.add_argument("--m", type=_number(int), default=4)
@@ -91,7 +100,7 @@ def _add_spec_args(p):
 def _add_run_args(p):
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=42)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL.rel)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
 
 
@@ -198,7 +207,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from(args)
-    report = run_suite(spec, args.suite, args.samples, args.seed, Tolerance(args.tol))
+    report = run_suite(spec, args.suite, args.samples, args.seed, args.tol)
     obj = report.to_json()
     lines = [f"suite {args.suite} on {spec}: {'pass' if report.passed else 'FAIL'} "
              f"(max residual {report.max_residual:.3e}, {report.samples} samples)"]
@@ -208,7 +217,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     spec = _spec_from(args)
-    report = verify_all(spec, args.samples, args.seed, Tolerance(args.tol))
+    report = verify_all(spec, args.samples, args.seed, args.tol)
     lines = [f"verify-all on {spec} (samples={args.samples}, seed={args.seed})"]
     for entry in report["suites"]:
         if "skipped" in entry:
@@ -283,7 +292,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_trace_pairing(args) -> int:
     spec = GroupSpec("su", args.m, args.n)
-    report = run_suite(spec, "trace-pairing", args.samples, args.seed, Tolerance(args.tol))
+    report = run_suite(spec, "trace-pairing", args.samples, args.seed, args.tol)
     full = report.to_json()
     obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual",
                                       "failures")}

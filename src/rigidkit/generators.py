@@ -78,20 +78,11 @@ def expected_shape(spec: GroupSpec, root: RootLabel):
     return {"pm": Scalar, "vec": RVec}[kind]
 
 
-def as_param(spec: GroupSpec, root: RootLabel, value, t: float = 0.0):
-    """Wrap a raw value into the root's parameter shape.
-
-    ``value`` is the scalar of a Scalar or Cx root and the vector part of an
-    RVec or Heis root; ``t`` is the central part of a Heis parameter.
-    """
-    shape = expected_shape(spec, root)
-    if shape is Scalar:
-        return Scalar(float(value))
-    if shape is Cx:
-        return Cx(complex(value))
-    if shape is RVec:
-        return RVec(np.real(value))
-    return Heis(t, tuple(value))
+def _raw(p) -> tuple:
+    """The raw (value, t) of a parameter object, as the chain core takes it."""
+    if isinstance(p, (RVec, Heis)):
+        return p.a, (p.t if isinstance(p, Heis) else 0.0)
+    return (p.z if isinstance(p, Cx) else p.t), 0.0
 
 
 def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
@@ -100,14 +91,11 @@ def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
     want = expected_shape(spec, root)
     if not isinstance(p, want):
         raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, got {type(p).__name__}")
-    if want is Scalar:
-        parts = (p.t,)
-    elif want is Cx:
-        parts = (p.z,)
-    else:
-        if len(p.a) != spec.tail:
-            raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(p.a)}")
-        parts = (p.t, *p.a) if want is Heis else p.a
+    value, t = _raw(p)
+    vector = want in (RVec, Heis)
+    if vector and len(value) != spec.tail:
+        raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(value)}")
+    parts = (t, *value) if vector else (value,)
     if not math.hypot(*map(abs, parts)) <= PARAM_MAX:   # written so that a NaN fails it
         raise OutOfRange(f"parameter of root {root} must be finite with norm at most "
                          f"{PARAM_MAX:.3g}, got {p}")
@@ -164,9 +152,11 @@ def param_from_json(obj: dict):
     raise ShapeMismatch(f"unrecognized parameter encoding {obj}")
 
 
-def heis_a0(p: Heis) -> complex:
-    a = np.asarray(p.a)
-    return complex(-0.5 * float(np.vdot(a, a).real), p.t)
+def _a0(spec: GroupSpec, a: np.ndarray, t=0.0) -> complex:
+    """The central entry -|a|^2/2 + t i of a vector root's letter (complex a): |a|^2
+    by np.vdot (unitary) or the dot of the strided real parts (orthogonal), as always
+    written; a contiguous real dot may round differently."""
+    return complex(-0.5 * float((np.vdot(a, a) if spec.unitary else a.real.dot(a.real)).real), t)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +169,35 @@ def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     return _x_matrix(spec, root, p)
 
 
-def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
+def _letter(spec: GroupSpec, root: RootLabel, value, a0: complex = 0j) -> np.ndarray:
+    """x_root at raw values, the one place a letter's entries are written: ``value``
+    is the complex z of a +-L_i+-L_j root, the real t of a +-2L_i root, or the complex
+    vector part of a +-L_i root, whose central entry is a0."""
     M = identity(spec.size)
     kind, pos = root.position
     if kind == "pm":
-        z = complex(p.t) if type(p) is Scalar else complex(p.z)
-        M[pos] += z
-        M[root.mirror] -= z.conjugate()
-        return M
-    if kind == "long":
-        M[pos] += 1j * p.t
-        return M
-    # vec root: the vector fills row `row` of the tail columns and, mirrored,
-    # column `col` of the tail rows; the a0 entry carries the Heisenberg part
-    row, col = pos
-    a = np.asarray(p.a, dtype=complex)
-    a0 = heis_a0(p) if type(p) is Heis else complex(-0.5 * float(a.real @ a.real))
-    tail = slice(2 * spec.n, None)
-    M[row, tail] += a
-    M[tail, col] -= a.conjugate()
-    M[pos] += a0
+        M[pos] += value
+        M[root.mirror] -= value.conjugate()
+    elif kind == "long":
+        M[pos] += 1j * value
+    else:
+        # the vector fills row `row` of the tail columns and, mirrored, column `col`
+        # of the tail rows; the a0 entry carries the Heisenberg part
+        row, col = pos
+        tail = slice(2 * spec.n, None)
+        M[row, tail] += value
+        M[tail, col] -= value.conjugate()
+        M[pos] += a0
     return M
+
+
+def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
+    if type(p) is Scalar:
+        return _letter(spec, root, complex(p.t) if root.kind == "pm" else p.t)
+    if type(p) is Cx:
+        return _letter(spec, root, complex(p.z))
+    a = np.asarray(p.a, dtype=complex)
+    return _letter(spec, root, a, _a0(spec, a, p.t if type(p) is Heis else 0.0))
 
 
 def heis_read(spec: GroupSpec, root: RootLabel, M: np.ndarray) -> Heis:
@@ -228,55 +226,71 @@ def param_add(spec: GroupSpec, root: RootLabel, p, q):
 # chain ("Weyl") elements
 
 
-def chain_params(spec: GroupSpec, root: RootLabel, p):
-    """The three chain factor parameters (x0, y0, x1) with w = x0 y0 x1.
-
-    y0 lives in the opposite root group.  For scalar and vector parameters
-    the two outer factors agree; the general unitary Heisenberg chain
-    rotates the vector part of the trailing factor.
-    """
-    if is_zero_param(p):
+def _chain_values(spec: GroupSpec, root: RootLabel, value, t=0.0) -> tuple:
+    """The _letter arguments (x0, y0, x1) of the chain w = x0 y0 x1 at w_matrix's raw
+    parameter, y0 of -root, after one validation: the root, the vector length, a
+    finite norm of at most PARAM_MAX, a nonzero parameter.  x1 is x0 but for the
+    general unitary Heisenberg chain, which rotates the trailing vector part."""
+    if not is_root(spec, root):
+        raise UnknownRoot(f"{root} is not a root of {spec}")
+    kind, unitary = root.kind, spec.unitary
+    if kind != "vec":
+        s = complex(value) if kind == "pm" and unitary else float(value)
+        norm = abs(s)
+    else:
+        a = (np.ascontiguousarray(value, dtype=complex) if unitary
+             else np.ascontiguousarray(np.real(value), dtype=float))
+        if len(a) != spec.tail:
+            raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(a)}")
+        # np.linalg.norm, by its own sums: the t = 0 Heisenberg branch divides by it
+        na2 = a.real.dot(a.real) + a.imag.dot(a.imag) if unitary else float(a.dot(a))
+        norm_a = math.sqrt(na2)
+        norm = math.hypot(t, norm_a)
+    if not norm <= PARAM_MAX:   # written so that a NaN fails it
+        raise OutOfRange(f"parameter of root {root} must be finite with norm at most "
+                         f"{PARAM_MAX:.3g}, got {value!r} (t = {t!r})")
+    if norm <= ZERO_PARAM_EPS:
         raise ZeroParameter(f"chain element of {root} needs a nonzero parameter")
-    if isinstance(p, Scalar):
-        if root.kind == "long":
-            return p, Scalar(1.0 / p.t), p
-        return p, Scalar(-1.0 / p.t), p
-    if isinstance(p, Cx):
-        return p, Cx(-1.0 / p.z), p
-    if isinstance(p, RVec):
-        a = np.asarray(p.a)
-        y = RVec(tuple(2.0 * a / float(a @ a)))
-        return p, y, p
-    # unitary Heisenberg; the a0 formula covers all branches but the
+    if kind == "long":
+        x = (s,)
+        return x, (1.0 / s,), x
+    if kind == "pm":
+        x = (complex(s),)
+        return x, ((-1.0 / s) if unitary else complex(-1.0 / s),), x
+    if not unitary:
+        ac, yc = a.astype(complex), (2.0 * a / na2).astype(complex)
+        x = (ac, _a0(spec, ac))
+        return x, (yc, _a0(spec, yc)), x
+    # unitary Heisenberg; the general formula covers all branches but the
     # degenerate ones are dispatched on their simpler certified forms
-    a = np.asarray(p.a)
-    norm_a = float(np.linalg.norm(a))
+    a0 = _a0(spec, a, t)
+    x = (a, a0)
     if norm_a <= ZERO_PARAM_EPS:
-        return p, Heis(1.0 / p.t, p.a), p
-    if abs(p.t) <= ZERO_PARAM_EPS:
-        y = Heis(0.0, tuple(2.0 * a / norm_a**2))
-        return p, y, p
-    a0 = heis_a0(p)
-    y = Heis(p.t / abs(a0) ** 2, tuple(-a / a0))
-    x1 = Heis(p.t, tuple(np.conj(a0) / a0 * a))
-    return p, y, x1
+        return x, (a, complex(a0.real, 1.0 / t)), x
+    if abs(t) <= ZERO_PARAM_EPS:
+        ya = 2.0 * a / norm_a**2
+        return x, (ya, _a0(spec, ya)), x
+    ya, xa = -a / a0, np.conj(a0) / a0 * a
+    return x, (ya, _a0(spec, ya, t / abs(a0) ** 2)), (xa, _a0(spec, xa, t))
 
 
-def _chain_factors(spec: GroupSpec, root: RootLabel, p) -> tuple:
-    """The three one-root factors (x0, y0, x1) of the chain element, as matrices.
-
-    When chain_params returns the same outer parameter twice, X0 is built
-    once and returned as X1 too.
-    """
-    check_param(spec, root, p)
-    x0, y0, x1 = chain_params(spec, root, p)
-    X0, Y0 = _x_matrix(spec, root, x0), _x_matrix(spec, -root, y0)
-    return X0, Y0, (X0 if x1 is x0 else _x_matrix(spec, root, x1))
+def _chain_factors(spec: GroupSpec, root: RootLabel, value, t=0.0) -> tuple:
+    """The three one-root factors (X0, Y0, X1) of the chain element at a raw
+    parameter, written by _letter; when x1 is x0, X0 is returned as X1 too."""
+    x0, y0, x1 = _chain_values(spec, root, value, t)
+    X0, Y0 = _letter(spec, root, *x0), _letter(spec, -root, *y0)
+    return X0, Y0, (X0 if x1 is x0 else _letter(spec, root, *x1))
 
 
-def w_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
-    """The chain element as a matrix, without certification."""
-    X0, Y0, X1 = _chain_factors(spec, root, p)
+def w_matrix(spec: GroupSpec, root: RootLabel, p, t=0.0) -> np.ndarray:
+    """The chain element w_root = X0 Y0 X1, without certification, at a parameter
+    object p or at the raw parameter (p, t): the scalar of a Scalar or Cx root, the
+    vector part of an RVec or Heis root and t the central part of a Heis one.
+    Nothing is cached."""
+    if isinstance(p, (Scalar, Cx, RVec, Heis)):
+        check_param(spec, root, p)
+        p, t = _raw(p)
+    X0, Y0, X1 = _chain_factors(spec, root, p, t)
     return X0 @ Y0 @ X1
 
 
@@ -308,7 +322,8 @@ class ChainCertificate:
 
 def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
     """Chain element with its factorization and reflection certificate, to DEFAULT_TOL."""
-    X0, Y0, X1 = _chain_factors(spec, root, p)
+    check_param(spec, root, p)
+    X0, Y0, X1 = _chain_factors(spec, root, *_raw(p))
     w = X0 @ Y0 @ X1
     w_inv = np.linalg.inv(w)
     ok = in_group(w, spec)
@@ -344,7 +359,7 @@ def _vec_letters(spec: GroupSpec, root: RootLabel, A: np.ndarray, a0: np.ndarray
     """x_root(a) and x_{-root}(a) of a vector root for each vector part a in A
     (D, ..., m-n), with central entries a0 (D, ...): the 2D distinct letters, each
     for a stack of words, as one (2, D, ..., N, N) array.  Entry for entry they
-    are the letters _x_matrix builds: the identity is added last, and x + 0 and
+    are the letters _letter writes: the identity is added last, and x + 0 and
     -x + 0 are the 0 + x and 0 - x written there, signed zeros included."""
     size = spec.size
     S = np.zeros((2,) + A.shape[:-1] + (size, size), dtype=complex)
@@ -405,7 +420,7 @@ def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
         # the imaginary variant turns sqrt2 b into sqrt2 b i
         c = A[:1] + A[1:] * np.array([1j if n == "imag" else 1.0 for n in names]
                                      ).reshape(js.shape + (1,))
-        # the central entry as _x_matrix forms it, by one dot product per word
+        # the central entry as _a0 forms it, by one dot product per word
         a0 = -0.5 * np.array([np.vdot(w, w) for w in c.reshape(-1, spec.tail)]).real
         L = _vec_letters(spec, frames[0][0], c, a0.reshape(c.shape[:-1]))
         word = (L[0, 0], L[1, 0], L[0, 0], Xe, Ye, Xe)
@@ -459,40 +474,39 @@ def _swap_perm(size: int, swaps) -> tuple:
 
 
 def w_closed_form(spec: GroupSpec, root: RootLabel, p) -> PermDiag:
-    """The permutation-diagonal form of the chain element."""
+    """The permutation-diagonal form of the chain element, read off the letter
+    values of its leading factor."""
     check_param(spec, root, p)
-    if is_zero_param(p):
-        raise ZeroParameter(f"chain element of {root} needs a nonzero parameter")
+    x0, y0, _ = _chain_values(spec, root, *_raw(p))
     if max(root.coeffs) <= 0:
         # w_root(p) = w_{-root}(y0), with y0 the middle factor of the chain w_root(p)
-        return w_closed_form(spec, -root, chain_params(spec, root, p)[1])
+        root, x0 = -root, y0
     n, size = spec.n, spec.size
     kind, (row, col) = root.position
     diag = [1.0 + 0j] * size
     swaps = [(row + 1, col + 1)]
+    v = x0[0]   # the leading factor's value
     if kind == "pm":
-        z = complex(p.z) if isinstance(p, Cx) else complex(p.t)
         mrow, mcol = root.mirror
         swaps.append((mrow + 1, mcol + 1))
-        diag[row] = -1.0 / z
-        diag[col] = z
-        diag[mcol] = -np.conj(z)
-        diag[mrow] = 1.0 / np.conj(z)
+        diag[row] = -1.0 / v
+        diag[col] = v
+        diag[mcol] = -np.conj(v)
+        diag[mrow] = 1.0 / np.conj(v)
         return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
-    if isinstance(p, Scalar):  # unitary long root 2L_i
-        diag[row] = 1j / p.t
-        diag[col] = 1j * p.t
+    if kind == "long":  # unitary long root 2L_i
+        diag[row] = 1j / v
+        diag[col] = 1j * v
         return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
-    if isinstance(p, RVec):
-        a = np.asarray(p.a, dtype=float)
+    if not spec.unitary:
+        a = np.ascontiguousarray(v.real)
         na2 = float(a @ a)
         diag[row] = -2.0 / na2
         diag[col] = -na2 / 2.0
         block = np.eye(spec.tail, dtype=complex) - 2.0 * np.outer(a, a) / na2
         return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)
-    a = np.asarray(p.a, dtype=complex)
-    a0 = heis_a0(p)
+    a0 = x0[1]
     diag[row] = 1.0 / np.conj(a0)
     diag[col] = a0
-    block = np.eye(spec.tail, dtype=complex) + np.outer(np.conj(a), a) / a0
+    block = np.eye(spec.tail, dtype=complex) + np.outer(np.conj(v), v) / a0
     return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)

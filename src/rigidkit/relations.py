@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
                      UnknownSuite)
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpotent_log
-from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, as_param, h_rot, heis_read,
-                         param_add, param_neg, param_to_json, w_matrix, x_elem)
+from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, h_rot, heis_read, param_add,
+                         param_neg, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
 from .words import plane_words, staircase_rows, su2_euler
 
@@ -279,16 +279,11 @@ def trace_pairing(spec: GroupSpec, a, b):
     for v in (a, b):
         if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL.rel:
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
-    w = partial(_chain, spec, parse_label(f"L{spec.n}", spec.n))
+    w = partial(w_matrix, spec, parse_label(f"L{spec.n}", spec.n))
     tail = (w(np.sqrt(2.0) * a) @ w(np.sqrt(2.0) * b))[2 * spec.n:, 2 * spec.n:]
     lhs = 4.0 * abs(np.vdot(b, a)) ** 2 + spec.tail - 4.0
     rhs = float(np.trace(tail).real)
     return lhs, rhs
-
-
-def _chain(spec: GroupSpec, root: RootLabel, value, t: float = 0.0) -> np.ndarray:
-    """Chain element of ``root`` at the raw parameter ``value`` (see as_param)."""
-    return w_matrix(spec, root, as_param(spec, root, value, t))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +313,9 @@ class _Words:
         return M
 
     def w(self, root, value, t=0.0):
-        """The chain w_root at the raw parameter (value, t), built by _chain."""
+        """The chain w_root at the raw parameter (value, t), built by w_matrix."""
         key = ("w", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
-        return self.get(key, _chain, self.spec, root, value, t)
+        return self.get(key, w_matrix, self.spec, root, value, t)
 
     def winv(self, root, value, t=0.0):
         """The inverse of w(root, value, t)."""

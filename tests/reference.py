@@ -3,8 +3,9 @@ negative-control patch of the relation suites.
 
 The references are the plain definitions the package's closed forms replace:
 the terminating exponential series of a nilpotent matrix, the ordered product
-of a word's generators, the rotation words h^j and the staircase product built
-one letter at a time, and membership in the Lie algebra of the invariant form.
+of a word's generators, the chain elements from parameter objects, the rotation
+words h^j and the staircase product built one letter at a time, and membership
+in the Lie algebra of the invariant form.
 """
 
 import math
@@ -13,12 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from rigidkit import generators, relations
+from rigidkit import generators
 from rigidkit.errors import NotNilpotent, SizeMismatch
-from rigidkit.generators import Heis, RVec, param_neg, x_elem
+from rigidkit.generators import ZERO_PARAM_EPS, Cx, Heis, RVec, Scalar, param_neg, x_elem
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, identity
-from rigidkit.rootsystem import (GenericPlaneReport, cartan_vector, hyperplane_representatives,
-                                 parse_root, root_value)
+from rigidkit.rootsystem import (GenericPlaneReport, RootLabel, cartan_vector,
+                                 hyperplane_representatives, parse_root, root_value)
 
 
 def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -98,6 +99,56 @@ def verbatim_reconstruct(spec: GroupSpec, stair) -> np.ndarray:
     return M[2 * spec.n:, 2 * spec.n:]
 
 
+def verbatim_chain_params(spec: GroupSpec, root: RootLabel, p) -> tuple:
+    """The chain factor parameters (x0, y0, x1), w = x0 y0 x1, as parameter objects by
+    the formulas the chain was first written with; y0 lives in the opposite root group."""
+    if isinstance(p, Scalar):
+        return p, Scalar(1.0 / p.t if root.kind == "long" else -1.0 / p.t), p
+    if isinstance(p, Cx):
+        return p, Cx(-1.0 / p.z), p
+    a = np.asarray(p.a)
+    if isinstance(p, RVec):
+        return p, RVec(tuple(2.0 * a / float(a @ a))), p
+    norm_a = float(np.linalg.norm(a))
+    if norm_a <= ZERO_PARAM_EPS:
+        return p, Heis(1.0 / p.t, p.a), p
+    if abs(p.t) <= ZERO_PARAM_EPS:
+        return p, Heis(0.0, tuple(2.0 * a / norm_a**2)), p
+    a0 = complex(-0.5 * float(np.vdot(a, a).real), p.t)
+    return p, Heis(p.t / abs(a0) ** 2, tuple(-a / a0)), Heis(p.t, tuple(np.conj(a0) / a0 * a))
+
+
+def verbatim_letter(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
+    """x_root(p) written entry by entry into the identity, as it was first written."""
+    M = identity(spec.size)
+    kind, pos = root.position
+    if kind == "pm":
+        z = complex(p.t) if type(p) is Scalar else complex(p.z)
+        M[pos] += z
+        M[root.mirror] -= z.conjugate()
+        return M
+    if kind == "long":
+        M[pos] += 1j * p.t
+        return M
+    row, col = pos
+    a = np.asarray(p.a, dtype=complex)
+    a0 = (complex(-0.5 * float(np.vdot(a, a).real), p.t) if type(p) is Heis
+          else complex(-0.5 * float(a.real @ a.real)))
+    M[row, 2 * spec.n:] += a
+    M[2 * spec.n:, col] -= a.conjugate()
+    M[pos] += a0
+    return M
+
+
+def verbatim_chain(spec: GroupSpec, root: RootLabel, p) -> tuple:
+    """The chain element and its factors (w, X0, Y0, X1) as first written: the factor
+    parameters of verbatim_chain_params, each factor by verbatim_letter, and
+    w = X0 @ Y0 @ X1."""
+    x0, y0, x1 = verbatim_chain_params(spec, root, p)
+    X0, Y0, X1 = (verbatim_letter(spec, r, q) for r, q in ((root, x0), (-root, y0), (root, x1)))
+    return X0 @ Y0 @ X1, X0, Y0, X1
+
+
 def in_algebra(X: np.ndarray, spec: GroupSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff X is in the Lie algebra of the form: X*G + GX = 0."""
     G = _form_cached(spec)
@@ -126,14 +177,14 @@ def generic_plane_pairwise(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
 def negate_opposite_factors(monkeypatch):
     """x_alpha(p) is built as x_alpha(-p) for every negative root alpha, one
     letter at a time or a stack of them."""
-    build = generators._x_matrix
+    # every one-root letter, chain factors included, is written by _letter
+    letter = generators._letter
 
-    def wrong(spec, root, p):
+    def wrong(spec, root, value, a0=0j):
         if root.coeffs[root.support[0]] < 0:
-            p = param_neg(p)
-        return build(spec, root, p)
-    monkeypatch.setattr(generators, "_x_matrix", wrong)
-    monkeypatch.setattr(relations, "_x_matrix", wrong)
+            value, a0 = -value, a0.conjugate()
+        return letter(spec, root, value, a0)
+    monkeypatch.setattr(generators, "_letter", wrong)
     # h_rot writes the letters of L_n and -L_n for a stack of words at once
     letters = generators._vec_letters
 

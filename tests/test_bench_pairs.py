@@ -107,3 +107,25 @@ def test_summarize_criteria_lower_is_better():
     assert (c6["parent"]["median"], c6["change"]["median"]) == (4.1, 2.9)
     assert (c6["gain"], c6["change_wins"]) == (pytest.approx(1.2 / 4.1), 3)
     assert bench_pairs.failed_runs(pairs) == {"parent": 0, "change": 0}
+
+
+def test_parse_tier1_reads_the_counts_and_keeps_the_wall_time():
+    out = "....F.\n=== short test summary info ===\nFAILED tests/test_x.py::test_y\n" \
+          "1 failed, 622 passed, 2 errors in 101.20s (0:01:41)\n"
+    assert bench_pairs.parse_tier1(1, out, 104.5) == {
+        "exit": 1, "passed": 622, "failed": 3, "metrics": {"tier1_s": 104.5}}
+    assert bench_pairs.parse_tier1(0, "623 passed in 98.00s\n", 99.0)["passed"] == 623
+    assert bench_pairs.parse_tier1(4, "", 0.5) == {"exit": 4, "passed": 0, "failed": 0,
+                                                   "metrics": {"tier1_s": 0.5}}
+    assert bench_pairs.TIER1[-1] == "--continue-on-collection-errors"
+
+
+def test_tier1_is_summarized_beside_the_criteria_from_the_first_pair_only():
+    first = {side: _criteria_out(20.0, 57.0) for side in bench_pairs.SIDES}
+    first["parent"]["metrics"]["tier1_s"], first["change"]["metrics"]["tier1_s"] = 100.0, 90.0
+    pairs = [first, {side: _criteria_out(19.0, 55.0) for side in bench_pairs.SIDES}]
+    metrics = bench_pairs.CRITERIA_METRICS + [bench_pairs.TIER1_METRIC]
+    summary = bench_pairs.summarize(pairs, metrics)
+    assert summary["tier1_s"]["pairs"] == 1 and summary["criterion_2_s"]["pairs"] == 2
+    assert summary["tier1_s"]["gain"] == pytest.approx(0.1)
+    assert summary["tier1_s"]["change_wins"] == 1

@@ -431,8 +431,9 @@ def test_tolerance_below_rounding_fails_the_suites(capsys, command):
     assert doc["pass"] is False
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "1", "1e300"],
-                         ids=["tol-nan", "tol-negative", "tol-one", "tol-huge"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "1", "1e300", "1_0e-10", "\u0661e-9"],
+                         ids=["tol-nan", "tol-negative", "tol-one", "tol-huge", "tol-underscore",
+                              "tol-arabic-indic-digit"])
 def test_invalid_tolerance_exit_2(capsys, tol):
     argv = ["verify", "--suite", "additivity", "--family", "so", "--m", "4", "--n", "3",
             "--samples", "5", "--json", "--tol", tol]

@@ -10,10 +10,10 @@ from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_rot,
                                  param_neg, param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
 from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
-from rigidkit.relations import _extract_term, rand_param, rng_for
+from rigidkit.relations import _Words, _extract_term, rand_param, rng_for
 from rigidkit import generators, matrixcore
 
-from reference import exp_nilpotent, verbatim_h_rot
+from reference import exp_nilpotent, verbatim_chain, verbatim_chain_params, verbatim_h_rot
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -295,21 +295,21 @@ def test_h_rot_identity_cases():
 
 
 def _count_builds(monkeypatch):
-    """Count the letter builds: one per generators._x_matrix call, and 2 len(A) per
+    """Count the letter builds: one per generators._letter call, and 2 len(A) per
     generators._vec_letters(spec, root, A, a0) call, which builds the len(A)
     distinct letters of root and of -root, each for a whole stack of words; the
     returned list grows by one per build."""
     calls = []
-    build, letters = generators._x_matrix, generators._vec_letters
+    build, letters = generators._letter, generators._vec_letters
 
-    def counted(spec, root, p):
+    def counted(spec, root, *values):
         calls.append(root)
-        return build(spec, root, p)
+        return build(spec, root, *values)
 
     def counted_letters(spec, root, A, a0):
         calls.extend([root, -root] * len(A))
         return letters(spec, root, A, a0)
-    monkeypatch.setattr(generators, "_x_matrix", counted)
+    monkeypatch.setattr(generators, "_letter", counted)
     monkeypatch.setattr(generators, "_vec_letters", counted_letters)
     return calls
 
@@ -328,9 +328,50 @@ def test_chain_builds_each_distinct_factor_once(monkeypatch):
         calls.clear()
         w = w_matrix(spec, root, p)
         assert len(calls) == builds, (spec, text)
-        x0, y0, x1 = generators.chain_params(spec, root, p)
+        x0, y0, x1 = verbatim_chain_params(spec, root, p)
         X0, Y0, X1 = (x_elem(spec, r, q) for r, q in ((root, x0), (-root, y0), (root, x1)))
         assert np.array_equal(w, X0 @ Y0 @ X1)
+
+
+def _chain_cases():
+    """(spec, root, p): 20 rand_param draws for every root of the acceptance specs, one
+    draw each rescaled to norm 1e-3 and 1e3, the Heisenberg branches a = 0, t = 0 and
+    both nonzero, and parameters with a -0.0 part."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for spec, root in ACCEPTANCE_ROOTS:
+        draws = [rand_param(spec, root, rng, invertible=True) for _ in range(20)]
+        cases += [(spec, root, p) for p in draws]
+        p = draws[0]
+        for norm in (1e-3, 1e3):
+            s = norm / generators.param_norm(p)
+            q = (Scalar(p.t * s) if isinstance(p, Scalar) else Cx(p.z * s)
+                 if isinstance(p, Cx) else RVec([x * s for x in p.a])
+                 if isinstance(p, RVec) else Heis(p.t * s, [x * s for x in p.a]))
+            cases.append((spec, root, q))
+        if isinstance(p, Heis):
+            cases += [(spec, root, Heis(p.t, (0j,) * spec.tail)), (spec, root, Heis(0.0, p.a)),
+                      (spec, root, Heis(p.t or 0.5, p.a))]
+    so, su = GroupSpec("so", 5, 3), GroupSpec("su", 5, 3)
+    cases += [(so, parse_root("-L2", so), RVec((-0.0, 0.7))),
+              (su, parse_root("L1", su), Heis(0.3, (complex(-0.0, -0.0), 0.6 + 0.2j))),
+              (su, parse_root("L1", su), Heis(0.0, (complex(0.4, -0.0), -0.0))),
+              (su, parse_root("L1-L3", su), Cx(complex(-0.0, 1.2)))]
+    return cases
+
+
+def test_chain_is_byte_identical_to_the_parameter_object_path():
+    # the chain of raw values, through every caller, against the chain as first
+    # written: parameter objects for its three factors, each letter written entry by
+    # entry, then X0 @ Y0 @ X1
+    for spec, root, p in _chain_cases():
+        w, X0, Y0, X1 = (M.tobytes() for M in verbatim_chain(spec, root, p))
+        cert = w_elem(spec, root, p)
+        assert w_matrix(spec, root, p).tobytes() == w, (spec, root, p)
+        assert [M.tobytes() for M in (cert.w, cert.x_i, cert.y_i, cert.x_next)] == [w, X0, Y0, X1]
+        raw = ((np.array(p.a), p.t) if isinstance(p, Heis) else (np.array(p.a),)
+               if isinstance(p, RVec) else (p.z,) if isinstance(p, Cx) else (p.t,))
+        assert _Words(spec).w(root, *raw).tobytes() == w, (spec, root, p)
 
 
 def test_h_rot_builds_each_distinct_factor_once(monkeypatch):

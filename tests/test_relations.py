@@ -427,7 +427,7 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
     spec = GroupSpec("so", 5, 3)
     inv = _recorded_calls(monkeypatch, "INV")
     rot = _recorded_calls(monkeypatch, "h_rot")
-    chain = _recorded_calls(monkeypatch, "_chain")
+    chain = _recorded_calls(monkeypatch, "w_matrix")
     for i in range(12):
         _sample_calls("symbol-S1", spec, i, inv, rot, chain)
         # the symbols {ab,cd}, {ab,cd ef}, {ab,ef}, {ab cd,ef}, {cd,ef}, {cd,ab} and
@@ -466,7 +466,7 @@ CHAIN_SUITES = [("conj-so", GroupSpec("so", 5, 3)), ("conj-su", GroupSpec("su", 
 @pytest.mark.parametrize("suite_id,spec", [
     pytest.param(sid, spec, id=sid) for sid, spec in CHAIN_SUITES])
 def test_no_chain_built_twice_in_a_sample(monkeypatch, suite_id, spec):
-    chain = _recorded_calls(monkeypatch, "_chain")
+    chain = _recorded_calls(monkeypatch, "w_matrix")
     for i in range(12):
         _sample_calls(suite_id, spec, i, chain)
         assert chain

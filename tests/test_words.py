@@ -17,7 +17,8 @@ from rigidkit.words import (Letter, Staircase, free_reduce, load_word, reconstru
                             staircase_decompose,
                             su2_euler, word_from_json, word_to_json)
 
-from reference import eval_word, negate_opposite_factors, verbatim_reconstruct
+from reference import (eval_word, negate_opposite_factors, verbatim_chain_params,
+                       verbatim_reconstruct)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _report_set = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
@@ -112,10 +113,9 @@ def test_is_relation_center_word():
 
 
 def test_chain_word_matches_closed_form():
-    from rigidkit.generators import chain_params
     for spec, name, p in [(SO43, "L1-L2", Scalar(1.4)), (SU43, "L3", Heis(0.5, (0.3 - 0.6j,)))]:
         root = parse_root(name, spec)
-        x0, y0, x1 = chain_params(spec, root, p)
+        x0, y0, x1 = verbatim_chain_params(spec, root, p)
         word = [Letter(root, x0), Letter(-root, y0), Letter(root, x1)]
         assert DEFAULT_TOL.close(eval_word(spec, word), w_closed_form(spec, root, p).matrix())
 

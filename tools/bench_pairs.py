@@ -21,9 +21,13 @@ relation suites, the commutator tables and the staircase round-trips): after
 the workloads of pair i, each tree runs ``python -m pytest --durations=0`` on
 the three criterion tests,
 in the pair's order, and the call durations pytest reports are summarized
-like a metric (lower is better).  The file is rewritten after every run, so a
-stopped session leaves the pairs it finished.  Nothing under either tree is
-changed: no bytecode or pytest cache is written.
+like a metric (lower is better).  In the first pair each tree also runs the
+whole Tier-1 command once, after its criteria; its wall time is the metric
+``tier1_s`` beside them, with pytest's passed and failed counts.  The file is
+rewritten after every run, so a stopped run leaves the pairs it finished.
+No bytecode or pytest cache is written under either tree; the Tier-1 run may
+leave the git-ignored ``.hypothesis/`` and ``.benchmarks/`` folders that its
+test plugins create.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +52,9 @@ CRITERIA = {"criterion_2_s": "tests/test_acceptance.py::test_criterion_2_present
             "criterion_4_s": "tests/test_acceptance.py::test_criterion_4_commutator_tables",
             "criterion_6_s": "tests/test_acceptance.py::test_criterion_6_staircase_roundtrip"}
 CRITERIA_METRICS = [{"name": name, "better": "lower", "bound": None} for name in CRITERIA]
+# the Tier-1 command, timed once per side in the first pair
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1_METRIC = {"name": "tier1_s", "better": "lower", "bound": None}
 
 # run in a child with the interpreter and environment the benchmark runs get
 MACHINE_PROBE = r"""
@@ -162,13 +170,35 @@ def parse_criteria(code: int, stdout: str) -> dict:
             "metrics": {name: calls[test] for name, test in CRITERIA.items() if test in calls}}
 
 
-def run_criteria(tree: Path) -> dict:
+def parse_tier1(code: int, stdout: str, seconds: float) -> dict:
+    """One Tier-1 run's record: the exit code, the passed and failed counts of
+    pytest's last line (errors count as failed) and the wall time as tier1_s."""
+    lines = stdout.strip().splitlines()
+    counts = {}
+    for n, word in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        key = "passed" if word == "passed" else "failed"
+        counts[key] = counts.get(key, 0) + int(n)
+    return {"exit": code, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "metrics": {TIER1_METRIC["name"]: seconds}}
+
+
+def _python(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--durations=0", *CRITERIA.values()],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
+                          text=True)
+
+
+def run_criteria(tree: Path) -> dict:
+    proc = _python(tree, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+                   *CRITERIA.values())
     return parse_criteria(proc.returncode, proc.stdout)
+
+
+def run_tier1(tree: Path) -> dict:
+    start = time.monotonic()
+    proc = _python(tree, *TIER1)
+    return parse_tier1(proc.returncode, proc.stdout, time.monotonic() - start)
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -200,7 +230,8 @@ def main(argv=None) -> int:
            "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
            "workloads": {w: {"pairs": []} for w in workloads},
            "criteria": {"command": "python -m pytest -q -p no:cacheprovider --durations=0 "
-                                   + " ".join(CRITERIA.values()), "pairs": []}}
+                                   + " ".join(CRITERIA.values()),
+                        "tier1_command": "python " + " ".join(TIER1), "pairs": []}}
     for i in range(1, PAIRS + 1):
         order = SIDES if i % 2 else SIDES[::-1]
         for workload in workloads:
@@ -218,11 +249,15 @@ def main(argv=None) -> int:
             pair = {"first": order[0]}
             for side in order:
                 pair[side] = run_criteria(trees[side])
+                if i == 1:
+                    tier1 = run_tier1(trees[side])
+                    pair[side]["metrics"].update(tier1.pop("metrics"))
+                    pair[side]["tier1"] = tier1
                 print(f"bench_pairs: criteria pair {i} {side}: {pair[side]}", file=sys.stderr)
             entry = doc["criteria"]
             entry["pairs"].append(pair)
             entry["failed_runs"] = failed_runs(entry["pairs"])
-            entry["summary"] = summarize(entry["pairs"], CRITERIA_METRICS)
+            entry["summary"] = summarize(entry["pairs"], CRITERIA_METRICS + [TIER1_METRIC])
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
