@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import time
 
 from .errors import ParseError, RigidkitError
 from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, json_loads, load_matrix
@@ -104,6 +105,11 @@ def _add_run_args(p):
     p.add_argument("--json", action="store_true")
 
 
+def _add_timings_arg(p):
+    p.add_argument("--timings", action="store_true",
+                   help="print each suite's wall time on stderr; stdout is unchanged")
+
+
 def _spec_from(args) -> GroupSpec:
     return GroupSpec(args.family, args.m, args.n)
 
@@ -137,10 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--suite", required=True, choices=suite_ids())
     _add_run_args(p)
+    _add_timings_arg(p)
 
     p = sub.add_parser("verify-all", help="run every applicable suite")
     _add_spec_args(p)
     _add_run_args(p)
+    _add_timings_arg(p)
 
     p = sub.add_parser("lyapunov", help="exponent table and splitting at a Cartan vector")
     _add_spec_args(p)
@@ -207,7 +215,10 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from(args)
+    start = time.perf_counter()
     report = run_suite(spec, args.suite, args.samples, args.seed, args.tol)
+    if args.timings:   # on stderr, so that stdout and --json stay as they are
+        print(f"time {args.suite}: {time.perf_counter() - start:.4f} s", file=sys.stderr)
     obj = report.to_json()
     lines = [f"suite {args.suite} on {spec}: {'pass' if report.passed else 'FAIL'} "
              f"(max residual {report.max_residual:.3e}, {report.samples} samples)"]
@@ -217,7 +228,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     spec = _spec_from(args)
-    report = verify_all(spec, args.samples, args.seed, args.tol)
+    timings = {}
+    report = verify_all(spec, args.samples, args.seed, args.tol, timings)
+    for suite_id, seconds in timings.items() if args.timings else ():
+        print(f"time {suite_id}: {seconds:.4f} s", file=sys.stderr)
     lines = [f"verify-all on {spec} (samples={args.samples}, seed={args.seed})"]
     for entry in report["suites"]:
         if "skipped" in entry:

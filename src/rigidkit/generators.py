@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (NotOnSphere, OutOfRange, ParseError, ShapeMismatch, UnknownRoot,
                      VariantUnsupported, ZeroParameter)
-from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, _eye, identity, in_group,
-                         json_complex, json_field, json_real)
+from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, _eye, in_group, json_complex,
+                         json_field, json_real)
 from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
@@ -172,14 +172,23 @@ def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
 def _letter(spec: GroupSpec, root: RootLabel, value, a0: complex = 0j) -> np.ndarray:
     """x_root at raw values, the one place a letter's entries are written: ``value``
     is the complex z of a +-L_i+-L_j root, the real t of a +-2L_i root, or the complex
-    vector part of a +-L_i root, whose central entry is a0."""
-    M = identity(spec.size)
+    vector part of a +-L_i root, whose central entry is a0.  Given W values (an array
+    of W scalars, or of W vector parts with W central entries) it writes the W letters
+    as one (W, N, N) stack, through a view in which M[pos] is that entry of each."""
     kind, pos = root.position
+    if type(value) is np.ndarray and value.ndim > (kind == "vec"):
+        S = _eye(spec.size)[None].repeat(len(value), 0)
+        M, value = S.transpose(1, 2, 0), value.T
+    else:
+        S = M = _eye(spec.size).copy()
+    # every entry written lies off the diagonal, at the identity's 0: it is 0 plus
+    # the nilpotent part's entry, a sum kept for its signed zeros (one entry is
+    # assigned that sum, a vector part added in place)
     if kind == "pm":
-        M[pos] += value
-        M[root.mirror] -= value.conjugate()
+        M[pos] = 0j + value
+        M[root.mirror] = 0j - value.conjugate()
     elif kind == "long":
-        M[pos] += 1j * value
+        M[pos] = 0j + 1j * value
     else:
         # the vector fills row `row` of the tail columns and, mirrored, column `col`
         # of the tail rows; the a0 entry carries the Heisenberg part
@@ -187,8 +196,8 @@ def _letter(spec: GroupSpec, root: RootLabel, value, a0: complex = 0j) -> np.nda
         tail = slice(2 * spec.n, None)
         M[row, tail] += value
         M[tail, col] -= value.conjugate()
-        M[pos] += a0
-    return M
+        M[pos] = 0j + a0
+    return S
 
 
 def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
@@ -286,10 +295,23 @@ def w_matrix(spec: GroupSpec, root: RootLabel, p, t=0.0) -> np.ndarray:
     """The chain element w_root = X0 Y0 X1, without certification, at a parameter
     object p or at the raw parameter (p, t): the scalar of a Scalar or Cx root, the
     vector part of an RVec or Heis root and t the central part of a Heis one.
-    Nothing is cached."""
+
+    Given W raw parameters at once (p an array of W scalars, or of W vector parts,
+    and t one central part or W of them), it returns the (W, N, N) stack, each chain
+    byte for byte its one-chain call: each value is validated and computed by
+    _chain_values as for one chain, its letters are written as stacks and the
+    products taken once for the stack.  Nothing is cached."""
     if isinstance(p, (Scalar, Cx, RVec, Heis)):
         check_param(spec, root, p)
         p, t = _raw(p)
+    elif type(p) is np.ndarray and p.ndim > (is_root(spec, root) and root.kind == "vec"):
+        ts = [t] * len(p) if np.isscalar(t) else t
+        x0, y0, x1 = zip(*[_chain_values(spec, root, v, s)
+                           for v, s in zip(p if p.ndim > 1 else p.tolist(), ts)])
+        stack = lambda r, xs: _letter(spec, r, *(np.array(c) for c in zip(*xs)))
+        X0, Y0 = stack(root, x0), stack(-root, y0)
+        X1 = X0 if all(x is y for x, y in zip(x1, x0)) else stack(root, x1)
+        return X0 @ Y0 @ X1
     X0, Y0, X1 = _chain_factors(spec, root, p, t)
     return X0 @ Y0 @ X1
 

@@ -5,10 +5,11 @@ tables, h multiplicativity, central elements, rotation words, conjugation
 lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
-named pairs of sides, always assembled independently as matrices; it builds
-each distinct word of the sample once (chains, h words, rotation words, their
-inverses and symbols) in one per-sample word table and shares it between the
-sides, and nothing is kept from one sample to the next.
+named pairs of sides, always assembled independently as matrices.  It builds
+each distinct word of the sample once and shares it between the sides: the
+chains, h words and inverses it knows after its draws are asked of a per-sample
+word table, which builds them a stack per root; rotation words, their inverses
+and symbols are stacks too.  Nothing is kept from one sample to the next.
 The one runner, run_suite, draws each sample's seeded substream, compares the
 sides and produces a machine-readable report.  Structure constants are never
 hard-coded but extracted numerically and certified.
@@ -17,6 +18,7 @@ hard-coded but extracted numerically and certified.
 from __future__ import annotations
 
 import math
+import time
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
@@ -49,7 +51,8 @@ def _ureal(rng):
 
 
 def _inv_real(rng):
-    return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0))
+    # the sign by integers(0, 2): the value and generator state of choice([-1.0, 1.0])
+    return float((-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.25, 2.0))
 
 
 def _inv_cx(rng):
@@ -292,43 +295,70 @@ def trace_pairing(spec: GroupSpec, a, b):
 # measured itself.  No sampler reads the verdict tolerance: the recorder does
 
 
-class _Words:
-    """The words of one sample (chains, their inverses, h words and whatever a
-    sampler builds from them), each built on first use.
+def _key(root, value, t=0.0):
+    """A word's key in the word table: the root's coefficients (a RootLabel hashes
+    through Python code) and the raw parameter, a vector value by its bytes."""
+    return root.coeffs, value.tobytes() if type(value) is np.ndarray else value, t
 
-    A table lives inside one sampler call, so nothing is carried over to the
-    next sample or run.  Entries are keyed by the root's coefficients (a
-    RootLabel hashes through Python code) and a vector value by its entries.
+
+class _Words:
+    """The words of one sample (chains w, their inverses winv, h words h and their
+    inverses hinv), each built once and kept for that sample only.
+
+    A sampler asks for the words of a root it knows right after its draws
+    (``want``); the first read of that root builds them as stacks: its chains as
+    one w_matrix stack, its chain inverses and h inverses as one stacked INV each,
+    its h words as one product against w(1)^-1.  Each slice is stored under the key
+    its reader looks up.  A word never asked for is built alone on first use.
     """
 
     def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        self.built = {}
+        self.spec, self.asked = spec, {}
+        self.built = {kind: {} for kind in ("w", "winv", "h", "hinv")}
+        # w(root, value, t=0.0), winv(root, value, t=0.0), h(root, t) and hinv(root, t)
+        self.w, self.winv, self.h, self.hinv = (partial(self.get, kind) for kind in self.built)
 
-    def get(self, key, build, *args):
-        """The entry under ``key``, built as build(*args) on first use."""
-        M = self.built.get(key)
+    def want(self, root, w=(), winv=(), h=(), hinv=()):
+        """Ask for chains w and chain inverses winv of root at raw parameters (a
+        value, or a pair (vector part, t)), and for its h words h and inverses hinv."""
+        lists = self.asked.setdefault(root.coeffs, (root, [], [], [], []))
+        for into, entries in zip(lists[1:], (w, winv, h, hinv)):
+            into += entries
+
+    def get(self, kind, root, value, t=0.0):
+        """The word of ``kind`` of root at (value, t)."""
+        key = _key(root, value, t)
+        M = self.built[kind].get(key)
+        if M is None and root.coeffs in self.asked:
+            self._build(*self.asked.pop(root.coeffs))
+            M = self.built[kind].get(key)
         if M is None:
-            M = self.built[key] = build(*args)
+            M = self.built[kind][key] = (
+                w_matrix(self.spec, root, value, t) if kind == "w" else
+                INV(self.w(root, value, t)) if kind == "winv" else
+                self.w(root, value) @ self.winv(root, 1.0) if kind == "h" else
+                INV(self.h(root, value)))
         return M
 
-    def w(self, root, value, t=0.0):
-        """The chain w_root at the raw parameter (value, t), built by w_matrix."""
-        key = ("w", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
-        return self.get(key, w_matrix, self.spec, root, value, t)
-
-    def winv(self, root, value, t=0.0):
-        """The inverse of w(root, value, t)."""
-        key = ("winv", root.coeffs, tuple(value) if isinstance(value, np.ndarray) else value, t)
-        return self.get(key, lambda: INV(self.w(root, value, t)))
-
-    def h(self, root, t):
-        """h_root(t) = w(t) w(1)^-1, the six-factor defining word."""
-        return self.get(("h", root.coeffs, t), lambda: self.w(root, t) @ self.winv(root, 1.0))
-
-    def hinv(self, root, t):
-        """The inverse of h(root, t)."""
-        return self.get(("hinv", root.coeffs, t), lambda: INV(self.h(root, t)))
+    def _build(self, root, ws, winvs, hs, hinvs):
+        """Build what was asked of root, each word once: every chain first, then the
+        chain inverses (w(1)^-1 among them when there are h words), the h words and
+        the h inverses, each kind as one stack."""
+        W, WINV, H, HINV = self.built.values()
+        one = [1.0] if hs or hinvs else []
+        es = [e if type(e) is tuple else (e, 0.0) for e in (*ws, *winvs, *one, *hs, *hinvs)]
+        keys = [_key(root, v, t) for v, t in es]
+        if new := {k: e for k, e in zip(keys, es) if k not in W}:
+            values, ts = zip(*new.values())
+            W.update(zip(new, w_matrix(self.spec, root, np.array(values), ts)))
+        b = len(ws) + len(winvs) + len(one)
+        stack = lambda table, ks: np.array([table[k] for k in ks])
+        for table, ks, build in ((WINV, keys[len(ws):b], lambda ks: INV(stack(W, ks))),
+                                 (H, keys[b:], lambda ks: stack(W, ks) @ WINV[keys[b - 1]]),
+                                 (HINV, keys[len(keys) - len(hinvs):],
+                                  lambda ks: INV(stack(H, ks)))):
+            if ks := [k for k in dict.fromkeys(ks) if k not in table]:
+                table.update(zip(ks, build(ks)))
 
 
 @lru_cache(maxsize=None)
@@ -434,6 +464,7 @@ def _vector_conj(spec, words, a, z, inputs):
     vec, vec1, diff, plus = _conj_labels(spec.n)
     w = words.w
     na2 = float(np.vdot(a, a).real)
+    words.want(vec, w=[-a / z, a / z], winv=[a])
     Wd, Wd_inv, H, H_inv = w(diff, z), words.winv(diff, z), words.h(diff, z), words.hinv(diff, z)
     Wv, Wv_inv = w(vec, a), words.winv(vec, a)
     yield ("w_Ln(a) w_Ln-1-Ln(z) w_Ln(a)^-1 = w_Ln-1+Ln(-|a|^2 z/2)",
@@ -450,14 +481,14 @@ def _vector_conj(spec, words, a, z, inputs):
            Wv @ H @ Wv_inv, words.h(plus, -0.5 * na2 * z) @ words.hinv(plus, -0.5 * na2), inputs)
 
 
-def _reflection_word(spec, words, rng, cx):
-    """w_Ln(sqrt2 u_1) ... w_Ln(sqrt2 u_c) for c in 1..3 random unit vectors u."""
-    vec = parse_label(f"L{spec.n}", spec.n)
+def _reflection_draws(spec, words, rng, cx):
+    """sqrt2 u_i of the word w_Ln(sqrt2 u_1) ... w_Ln(sqrt2 u_c), c in 1..3 random unit
+    vectors u, and one more unit vector u: their chains w_Ln(sqrt2 u) are asked for."""
     count = int(rng.integers(1, 4))
-    W = identity(spec.size)
-    for _ in range(count):
-        W = W @ words.w(vec, np.sqrt(2.0) * _unit_vec(rng, spec.tail, cx))
-    return count, W, W[2 * spec.n:, 2 * spec.n:]
+    us = [np.sqrt(2.0) * _unit_vec(rng, spec.tail, cx) for _ in range(count)]
+    u = _unit_vec(rng, spec.tail, cx)
+    words.want(parse_label(f"L{spec.n}", spec.n), w=us + [np.sqrt(2.0) * u])
+    return us, u
 
 
 def _conj_so(spec, rng, i):
@@ -467,10 +498,11 @@ def _conj_so(spec, rng, i):
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     t = _inv_real(rng)
     inputs = {"a": a, "t": t}
+    us, av = _reflection_draws(spec, words, rng, cx=False)
     yield from _vector_conj(spec, words, a, t, inputs)
     # reflection-group conjugation (le:14 analog at matrix level)
-    _, W, B = _reflection_word(spec, words, rng, cx=False)
-    av = _unit_vec(rng, spec.tail)
+    W = reduce(matmul, [w(vec, u) for u in us], identity(spec.size))
+    B = W[2 * spec.n:, 2 * spec.n:]
     yield ("W w_Ln(sqrt2 u) W^-1 = w_Ln(sqrt2 B u)", W @ w(vec, np.sqrt(2.0) * av) @ INV(W),
            w(vec, np.sqrt(2.0) * (B.real @ av)), inputs)
 
@@ -502,17 +534,22 @@ def _conj_su(spec, rng, i):
     while np.linalg.norm(a) < 0.25:
         a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     inputs = {"z": z, "t": t, "a": a}
+    us, av = _reflection_draws(spec, words, rng, cx=True)
+    tb = _ureal(rng)
+    bvec = rng.uniform(-2, 2, size=k) + 1j * rng.uniform(-2, 2, size=k)
+    tgen = _inv_real(rng)
+    t1 = _inv_real(rng)
+    b = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
+    words.want(vec, w=[(b, t1)], winv=[(a, tgen)])
     yield from _vector_conj(spec, words, a, z, inputs)
     # reflection-group conjugation of chains and unipotents
-    count, W, B = _reflection_word(spec, words, rng, cx=True)
-    W_inv = INV(W)
-    av = _unit_vec(rng, k, cx=True)
+    count = len(us)
+    W = reduce(matmul, [w(vec, u) for u in us], identity(spec.size))
+    W_inv, B = INV(W), W[2 * n:, 2 * n:]
     sign = 1.0 if count % 2 == 0 else -1.0
     yield ("W w_Ln(sqrt2 u) W^-1 = w_Ln(+-sqrt2 conj(B) u)",
            W @ w(vec, np.sqrt(2.0) * av) @ W_inv,
            w(vec, np.sqrt(2.0) * sign * (np.conj(B) @ av)), inputs)
-    tb = _ureal(rng)
-    bvec = rng.uniform(-2, 2, size=k) + 1j * rng.uniform(-2, 2, size=k)
     Lx = W @ x_elem(spec, vec, Heis(tb, tuple(bvec))) @ W_inv
     if count % 2 == 0:
         Rx = x_elem(spec, vec, Heis(tb, tuple(np.conj(B) @ bvec)))
@@ -521,12 +558,9 @@ def _conj_su(spec, rng, i):
         Rx = x_elem(spec, neg, Heis(tb, tuple(-np.conj(B) @ bvec)))
     yield "W x_Ln(t, b) W^-1 = x_+-Ln(t, +-conj(B) b)", Lx, Rx, inputs
     # general-parameter chains
-    tgen = _inv_real(rng)
     a0 = complex(-0.5 * float(np.vdot(a, a).real), tgen)
     Wta, Wta_inv = w(vec, a, tgen), winv(vec, a, tgen)
     Bta = Wta[2 * n:, 2 * n:]
-    t1 = _inv_real(rng)
-    b = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     yield ("w_Ln(t, a) w_Ln(t1, b) w_Ln(t, a)^-1 = w_-Ln(t1/|a0|^2, conj(B/a0) b)",
            Wta @ w(vec, b, t1) @ Wta_inv, w(neg, np.conj(Bta / a0) @ b, t1 / abs(a0) ** 2),
            inputs)
@@ -544,43 +578,52 @@ def _conj_su(spec, rng, i):
 def _symbol_scalar(spec, rng, i):
     words = _Words(spec)
     root = parse_label("L1-L2", spec.n)
-    h, hinv = partial(words.h, root), partial(words.hinv, root)
-    # {s, t} from h words; the identity matrix if the symbol dies
-    sym = lambda s, t: words.get(("sym", s, t), lambda: h(s) @ h(t) @ hinv(s * t))
     I = identity(spec.size)
     t1, t2, t3 = (_inv_scalar(spec, rng) for _ in range(3))
     inputs = {"t1": t1, "t2": t2, "t3": t3}
-    yield "{t1, t2} = id", sym(t1, t2), I, inputs
-    yield "{t1, t2 t3} = {t1, t2} {t1, t3}", sym(t1, t2 * t3), sym(t1, t2) @ sym(t1, t3), inputs
-    yield "{t1 t2, t3} = {t1, t3} {t2, t3}", sym(t1 * t2, t3), sym(t1, t3) @ sym(t2, t3), inputs
-    yield "{t1, t2} {t2, t1} = id", sym(t1, t2) @ sym(t2, t1), I, inputs
-    while abs(1.0 - t1) < 0.25:
-        t1 = _inv_scalar(spec, rng)
-    yield "{t, 1-t} = id", sym(t1, 1.0 - t1), I, inputs
-    yield "{t, -t} = id", sym(t1, -t1), I, inputs
+    u = t1
+    while abs(1.0 - u) < 0.25:
+        u = _inv_scalar(spec, rng)
+    t12, t23 = t1 * t2, t2 * t3
+    # {s, t} = h(s) h(t) h(st)^-1, the identity matrix if the symbol dies
+    pairs = [(t1, t2), (t1, t23), (t1, t3), (t12, t3), (t2, t3), (t2, t1), (u, 1.0 - u), (u, -u)]
+    words.want(root, h=[x for xy in pairs for x in xy], hinv=[s * t for s, t in pairs])
+    h, hinv = partial(words.h, root), partial(words.hinv, root)
+    # the symbols as one stacked product
+    sym = dict(zip(pairs, np.array([h(s) for s, _ in pairs]) @ np.array([h(t) for _, t in pairs])
+                   @ np.array([hinv(s * t) for s, t in pairs])))
+    yield "{t1, t2} = id", sym[t1, t2], I, inputs
+    yield "{t1, t2 t3} = {t1, t2} {t1, t3}", sym[t1, t23], sym[t1, t2] @ sym[t1, t3], inputs
+    yield "{t1 t2, t3} = {t1, t3} {t2, t3}", sym[t12, t3], sym[t1, t3] @ sym[t2, t3], inputs
+    yield "{t1, t2} {t2, t1} = id", sym[t1, t2] @ sym[t2, t1], I, inputs
+    yield "{t, 1-t} = id", sym[u, 1.0 - u], I, inputs
+    yield "{t, -t} = id", sym[u, -u], I, inputs
 
 
 def _symbol_circle(spec, rng, i):
     j, angles, variant = _plane_draw(spec, rng, i, 3)
     ab, cd, ef = ((np.cos(t), np.sin(t)) for t in angles)
     I = identity(spec.size)
-    words = _Words(spec)
     # the rotation words the symbols below use, evaluated as one stack
     mul, minus_cd = _circle_mul, (-cd[0], -cd[1])
     xs = dict.fromkeys([ab, cd, ef, mul(ab, cd), mul(cd, ab), mul(cd, ef), mul(ab, ef),
                         mul(ab, mul(cd, ef)), mul(mul(ab, cd), ef), minus_cd, mul(cd, minus_cd)])
-    rot = dict(zip(xs, h_rot(spec, np.full(len(xs), j), np.transpose(list(xs)), variant))).get
-    rotinv = lambda x: words.get(("rotinv", x), lambda: INV(rot(x)))
-    sym = lambda x, y: words.get(("sym", x, y),
-                                 lambda: rot(_circle_mul(x, y)) @ rotinv(x) @ rotinv(y))
+    rot = dict(zip(xs, h_rot(spec, np.full(len(xs), j), np.transpose(list(xs)), variant)))
+    # {x, y} = h(xy) h(x)^-1 h(y)^-1: the words inverted as one stacked INV, the
+    # symbols as one stacked product
+    pairs = [(ab, cd), (ab, mul(cd, ef)), (ab, ef), (mul(ab, cd), ef), (cd, ef), (cd, ab),
+             (cd, minus_cd)]
+    inverted = list(dict.fromkeys(x for xy in pairs for x in xy))
+    rotinv = dict(zip(inverted, INV(np.array([rot[x] for x in inverted]))))
+    sym = dict(zip(pairs, np.array([rot[mul(x, y)] for x, y in pairs])
+                   @ np.array([rotinv[x] for x, _ in pairs])
+                   @ np.array([rotinv[y] for _, y in pairs])))
     inputs = {"j": j, "ab": ab, "cd": cd, "variant": variant}
-    yield "{ab, cd} = id", sym(ab, cd), I, inputs
-    yield ("{ab, cd ef} = {ab, cd} {ab, ef}", sym(ab, _circle_mul(cd, ef)),
-           sym(ab, cd) @ sym(ab, ef), inputs)
-    yield ("{ab cd, ef} = {ab, ef} {cd, ef}", sym(_circle_mul(ab, cd), ef),
-           sym(ab, ef) @ sym(cd, ef), inputs)
-    yield "{ab, cd} {cd, ab} = id", sym(ab, cd) @ sym(cd, ab), I, inputs
-    yield "{cd, -cd} = id", sym(cd, minus_cd), I, inputs
+    yield "{ab, cd} = id", sym[ab, cd], I, inputs
+    yield "{ab, cd ef} = {ab, cd} {ab, ef}", sym[ab, mul(cd, ef)], sym[ab, cd] @ sym[ab, ef], inputs
+    yield "{ab cd, ef} = {ab, ef} {cd, ef}", sym[mul(ab, cd), ef], sym[ab, ef] @ sym[cd, ef], inputs
+    yield "{ab, cd} {cd, ab} = id", sym[ab, cd] @ sym[cd, ab], I, inputs
+    yield "{cd, -cd} = id", sym[cd, minus_cd], I, inputs
 
 
 def _braid(spec, rng, i):
@@ -686,8 +729,9 @@ def run_suite(spec: GroupSpec, suite_id: str, samples: int = 1000, seed: int = 4
 
 
 def verify_all(spec: GroupSpec, samples: int = 1000, seed: int = 42,
-               tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Run every applicable suite; aggregate pass/fail and worst residuals."""
+               tol: Tolerance = DEFAULT_TOL, timings: dict | None = None) -> dict:
+    """Run every applicable suite; aggregate pass/fail and worst residuals.  Given a
+    dict ``timings``, each suite's wall time in seconds is stored in it by suite id."""
     suites = []
     ok = True
     for suite_id in SUITES:
@@ -695,7 +739,10 @@ def verify_all(spec: GroupSpec, samples: int = 1000, seed: int = 42,
         if reason is not None:
             suites.append({"suite": suite_id, "skipped": reason})
             continue
+        start = time.perf_counter()
         report = run_suite(spec, suite_id, samples, seed, tol)
+        if timings is not None:
+            timings[suite_id] = time.perf_counter() - start
         ok = ok and report.passed
         suites.append(report.to_json())
     return {

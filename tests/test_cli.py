@@ -83,6 +83,23 @@ def test_verify_all_json_deterministic(capsys):
     assert any(s["suite"] == "rot-su" for s in skipped)  # m - n = 0
 
 
+@pytest.mark.parametrize("argv,suites", [
+    (("verify", "--suite", "conj-su", "--family", "su", "--m", "5", "--n", "3"), ["conj-su"]),
+    (("verify-all", "--family", "so", "--m", "5", "--n", "3"), None)])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_timings_go_to_stderr_only(capsys, argv, suites, json_flag):
+    argv = argv + ("--samples", "3")
+    code, out, err = run(capsys, *argv, *json_flag)
+    timed_code, timed_out, timed_err = run(capsys, *argv, *json_flag, "--timings")
+    assert (timed_code, timed_out) == (code, out) and err == ""
+    if suites is None:   # one line per suite that ran, none for a skipped one
+        report = json.loads(run(capsys, *argv, "--json")[1])
+        suites = [entry["suite"] for entry in report["suites"] if "skipped" not in entry]
+    lines = timed_err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"time {suite}" for suite in suites]
+    assert all(float(line.split()[-2]) >= 0.0 and line.endswith(" s") for line in lines)
+
+
 def test_chain_json(capsys):
     code, out, _ = run(capsys, "chain", "--family", "so", "--m", "4", "--n", "3",
                        "--root", "L1-L2", "--param", '{"t": 1.0}', "--json")

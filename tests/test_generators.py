@@ -374,6 +374,63 @@ def test_chain_is_byte_identical_to_the_parameter_object_path():
         assert _Words(spec).w(root, *raw).tobytes() == w, (spec, root, p)
 
 
+def _stack_cases():
+    """(spec, root, raw parameters (value, t)) of the chain stacks compared with one-chain
+    calls: for every root of the acceptance specs, 20 rand_param draws, the same draws
+    rescaled to norm 1e-3 and to 1e3, a W = 1 stack, and for a +-L_i root one stack
+    mixing the Heisenberg branches a = 0, t = 0 and general (unitary) and a vector
+    entry of -0.0."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for spec, root in ACCEPTANCE_ROOTS:
+        draws = [rand_param(spec, root, rng, invertible=True) for _ in range(20)]
+        raws = [generators._raw(p) for p in draws]
+        cases += [(spec, root, raws), (spec, root, raws[:1])]
+        for norm in (1e-3, 1e3):
+            scale = [norm / generators.param_norm(p) for p in draws]
+            cases.append((spec, root, [(np.multiply(v, s), t * s) for (v, t), s in zip(raws, scale)]))
+        if root.kind == "vec":
+            a, t = np.array(raws[0][0]), raws[0][1]
+            # a -0.0 entry, or a -0.0 real part where the vector has one entry
+            zero = a.copy()
+            zero[0] = complex(-0.0, a[0].imag) if spec.tail == 1 and spec.unitary else -0.0
+            heis = [(0 * a, t), (a, 0.0)] if spec.unitary else []
+            cases.append((spec, root, [(a, t), *heis] + [(zero, t)] * bool(zero.any())))
+    return cases
+
+
+def test_chain_stacks_are_byte_identical_to_one_chain_calls():
+    # w_matrix on W values returns the (W, N, N) stack of the W one-chain calls, bit for
+    # bit; so do the stacked inverse and the h product against w(1)^-1 broadcast over a
+    # stack, which the relation word tables take
+    for spec, root, raws in _stack_cases():
+        values, ts = np.array([v for v, _ in raws]), [t for _, t in raws]
+        S = w_matrix(spec, root, values, ts)
+        singles = [w_matrix(spec, root, v, t) for v, t in raws]
+        assert S.shape == (len(raws), spec.size, spec.size), (spec, root)
+        assert [M.tobytes() for M in S] == [M.tobytes() for M in singles], (spec, root)
+        assert [M.tobytes() for M in np.linalg.inv(S)] == [np.linalg.inv(M).tobytes()
+                                                           for M in singles], (spec, root)
+        if root.kind != "vec":
+            one_inv = np.linalg.inv(w_matrix(spec, root, 1.0))
+            assert [M.tobytes() for M in S @ one_inv] == [(M @ one_inv).tobytes()
+                                                          for M in singles], (spec, root)
+
+
+@pytest.mark.parametrize("spec, root, values, error", [
+    (SO43, "L1-L2", [0.5, 0.0], ZeroParameter), (SO43, "L1-L2", [0.5, float("nan")], OutOfRange),
+    (SU43, "L3", [[0.3 + 0j], [0j]], ZeroParameter),
+    (SU43, "L3", [[0.3 + 0j], [complex(float("inf"), 0.0)]], OutOfRange)])
+def test_chain_stack_validates_each_value_as_one_chain(spec, root, values, error):
+    # a stack holding a bad value fails as that value's one-chain call, with its message
+    label = parse_root(root, spec)
+    with pytest.raises(error) as one:
+        w_matrix(spec, label, np.array(values[-1]) if label.kind == "vec" else values[-1])
+    with pytest.raises(error) as stacked:
+        w_matrix(spec, label, np.array(values))
+    assert str(stacked.value) == str(one.value)
+
+
 def test_h_rot_builds_each_distinct_factor_once(monkeypatch):
     # 6 distinct factors of the 9-letter orthogonal word, 4 of the 6-letter
     # unitary one; the 2 fixed factors x_{+-L_n}(-sqrt2 e_j) are built on the

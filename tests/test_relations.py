@@ -415,6 +415,26 @@ def _recorded_calls(monkeypatch, name):
     return calls
 
 
+def _inverted(calls):
+    """The matrices inverted by recorded INV calls, one entry per matrix: a stacked
+    call inverts each of its slices."""
+    return [M.tobytes() for (A,) in calls for M in A.reshape((-1,) + A.shape[-2:])]
+
+
+def _chains(calls):
+    """The chains built by recorded w_matrix calls as (root, value entries, t), one
+    entry per chain: a stacked call (W values, with one t or W) builds each of its W."""
+    built = []
+    for _, root, value, *t in calls:
+        t = t[0] if t else 0.0
+        if isinstance(value, np.ndarray) and value.ndim > (root.kind == "vec"):
+            ts = np.broadcast_to(t, len(value)).tolist()
+            built += [(root, tuple(np.ravel(v)), s) for v, s in zip(value, ts)]
+        else:
+            built.append((root, tuple(np.ravel(value)), t))
+    return built
+
+
 def _sample_calls(suite_id, spec, i, *recorded):
     for calls in recorded:
         calls.clear()
@@ -432,8 +452,8 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
         _sample_calls("symbol-S1", spec, i, inv, rot, chain)
         # the symbols {ab,cd}, {ab,cd ef}, {ab,ef}, {ab cd,ef}, {cd,ef}, {cd,ab} and
         # {cd,-cd}, each h(xy) h(x)^-1 h(y)^-1, invert the words ab, cd, cd ef, ef,
-        # ab cd and -cd: one inverse per distinct word
-        assert len(inv) == 6
+        # ab cd and -cd: one inverse per distinct word, counted inside stacked calls
+        assert len(_inverted(inv)) == 6
         # the words ab, cd, ef, cd ef, ab cd (= cd ab), ab ef, ab (cd ef), (ab cd) ef,
         # -cd and cd (-cd): 10, or 9 where the two triple products round alike, all
         # in one stacked call
@@ -447,11 +467,11 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
         # {t1,t2}, {t1,t2 t3}, {t1,t3}, {t1 t2,t3}, {t2,t3}, {t2,t1}, {t,1-t} and
         # {t,-t}: t1 t2 (= t2 t1), t1 (t2 t3), t1 t3, (t1 t2) t3, t2 t3, t(1-t) and
         # t(-t), 7, or 6 where the two triple products round alike
-        assert len(inv) in (1 + 6, 1 + 7)
+        assert len(_inverted(inv)) in (1 + 6, 1 + 7)
         # w(1) and the h words t1, t2, t3, t2 t3, t1 (t2 t3), t1 t2, t1 t3, (t1 t2) t3,
         # t, 1-t, -t, t(1-t), t(-t) with t = t1 unless t1 was redrawn near 1; the
         # triple products may round alike
-        words = [(args[1], args[2]) for args in chain]
+        words = [(root, value) for root, value, _ in _chains(chain)]
         assert 1 + 11 <= len(words) <= 1 + 13 and len(set(words)) == len(words)
         assert not rot
 
@@ -470,8 +490,8 @@ def test_no_chain_built_twice_in_a_sample(monkeypatch, suite_id, spec):
     for i in range(12):
         _sample_calls(suite_id, spec, i, chain)
         assert chain
-        # a call is (spec, root, value) or (spec, root, value, t)
-        built = [(args[1], tuple(np.ravel(args[2])), (args[3:] or (0.0,))[0]) for args in chain]
+        # a call is (spec, root, value) or (spec, root, value, t), one chain or a stack
+        built = _chains(chain)
         assert len(set(built)) == len(built), (suite_id, i)
 
 
@@ -482,8 +502,19 @@ def test_no_inverse_taken_twice_in_a_sample(monkeypatch, suite_id, spec):
     inv = _recorded_calls(monkeypatch, "INV")
     for i in range(12):
         _sample_calls(suite_id, spec, i, inv)
-        inputs = [args[0].tobytes() for args in inv]
+        inputs = _inverted(inv)
         assert len(set(inputs)) == len(inputs), (suite_id, i)
+
+
+def test_inv_real_draws_the_sign_as_choice_did():
+    # the sign is drawn by integers(0, 2) indexing (-1.0, 1.0): the value and the
+    # generator state after the draw are those of rng.choice([-1.0, 1.0])
+    for seed in range(1000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        value = relations._inv_real(rng)
+        expected = float(ref.choice([-1.0, 1.0]) * ref.uniform(0.25, 2.0))
+        assert type(value) is float and value == expected, seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
 def test_run_suite_side_condition():
