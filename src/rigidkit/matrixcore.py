@@ -231,11 +231,15 @@ def mat_from_json(obj: dict) -> np.ndarray:
 
 
 def _strict(decoded):
-    """Both hooks of json_loads, in one function that every object reaches: a
-    decoded object's (key, value) pairs become a dict, a repeated key refused;
-    the name of a non-standard constant (NaN, Infinity, -Infinity) is refused."""
+    """Every hook of json_loads, in one function that every object and number
+    reaches: a decoded object's (key, value) pairs become a dict, a repeated key
+    refused; a number as written becomes an int or a float, refused unless it is
+    finite as a float (1e999 and a 400-digit integer are not), and so is the name
+    of a non-standard constant (NaN, Infinity, -Infinity)."""
     if isinstance(decoded, str):
-        raise ParseError(f"JSON number {decoded} is not finite: only finite numbers are read")
+        if not math.isfinite(float(decoded)):
+            raise ParseError(f"JSON number {decoded} is not finite: only finite numbers are read")
+        return int(decoded) if decoded.lstrip("-").isdigit() else float(decoded)
     obj = {}
     for key, value in decoded:
         if key in obj:
@@ -246,9 +250,10 @@ def _strict(decoded):
 
 def json_loads(text: str):
     """Decode JSON input strictly: ParseError for a key repeated within an
-    object (plain json keeps the last) and for NaN, Infinity and -Infinity,
-    which are not JSON."""
-    return json.loads(text, object_pairs_hook=_strict, parse_constant=_strict)
+    object (plain json keeps the last), for NaN, Infinity and -Infinity, which
+    are not JSON, and for a number that overflows a float."""
+    return json.loads(text, object_pairs_hook=_strict, parse_constant=_strict,
+                      parse_float=_strict, parse_int=_strict)
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -6,13 +6,13 @@ lemmas, symbol axioms, braid exchange, trace pairing) is a suite in the
 SUITES registry: a sampler together with the families and the side
 condition it applies to.  A sampler builds the relations of one sample as
 named pairs of sides, always assembled independently as matrices.  It builds
-each distinct word of the sample once and shares it between the sides: the
-chains, h words and inverses it knows after its draws are asked of a per-sample
-word table, which builds them a stack per root; rotation words, their inverses
-and symbols are stacks too.  Nothing is kept from one sample to the next.
-The one runner, run_suite, draws each sample's seeded substream, compares the
-sides and produces a machine-readable report.  Structure constants are never
-hard-coded but extracted numerically and certified.
+each distinct word of the sample once and shares it between the sides: chains,
+h words and their inverses through a per-sample memo, each word alone on first
+use, and the symbol samplers' words, inverses and symbols as stacks.  Nothing
+is kept from one sample to the next.  The one runner, run_suite, draws each
+sample's seeded substream, compares the sides and produces a machine-readable
+report.  Structure constants are never hard-coded but extracted numerically
+and certified.
 """
 
 from __future__ import annotations
@@ -303,62 +303,25 @@ def _key(root, value, t=0.0):
 
 class _Words:
     """The words of one sample (chains w, their inverses winv, h words h and their
-    inverses hinv), each built once and kept for that sample only.
-
-    A sampler asks for the words of a root it knows right after its draws
-    (``want``); the first read of that root builds them as stacks: its chains as
-    one w_matrix stack, its chain inverses and h inverses as one stacked INV each,
-    its h words as one product against w(1)^-1.  Each slice is stored under the key
-    its reader looks up.  A word never asked for is built alone on first use.
-    """
+    inverses hinv), each built alone on first use and kept for that sample only."""
 
     def __init__(self, spec: GroupSpec):
-        self.spec, self.asked = spec, {}
-        self.built = {kind: {} for kind in ("w", "winv", "h", "hinv")}
+        self.spec, self.built = spec, {}
         # w(root, value, t=0.0), winv(root, value, t=0.0), h(root, t) and hinv(root, t)
-        self.w, self.winv, self.h, self.hinv = (partial(self.get, kind) for kind in self.built)
-
-    def want(self, root, w=(), winv=(), h=(), hinv=()):
-        """Ask for chains w and chain inverses winv of root at raw parameters (a
-        value, or a pair (vector part, t)), and for its h words h and inverses hinv."""
-        lists = self.asked.setdefault(root.coeffs, (root, [], [], [], []))
-        for into, entries in zip(lists[1:], (w, winv, h, hinv)):
-            into += entries
+        self.w, self.winv, self.h, self.hinv = (partial(self.get, kind)
+                                                for kind in ("w", "winv", "h", "hinv"))
 
     def get(self, kind, root, value, t=0.0):
         """The word of ``kind`` of root at (value, t)."""
-        key = _key(root, value, t)
-        M = self.built[kind].get(key)
-        if M is None and root.coeffs in self.asked:
-            self._build(*self.asked.pop(root.coeffs))
-            M = self.built[kind].get(key)
+        key = kind, _key(root, value, t)
+        M = self.built.get(key)
         if M is None:
-            M = self.built[kind][key] = (
+            M = self.built[key] = (
                 w_matrix(self.spec, root, value, t) if kind == "w" else
                 INV(self.w(root, value, t)) if kind == "winv" else
                 self.w(root, value) @ self.winv(root, 1.0) if kind == "h" else
                 INV(self.h(root, value)))
         return M
-
-    def _build(self, root, ws, winvs, hs, hinvs):
-        """Build what was asked of root, each word once: every chain first, then the
-        chain inverses (w(1)^-1 among them when there are h words), the h words and
-        the h inverses, each kind as one stack."""
-        W, WINV, H, HINV = self.built.values()
-        one = [1.0] if hs or hinvs else []
-        es = [e if type(e) is tuple else (e, 0.0) for e in (*ws, *winvs, *one, *hs, *hinvs)]
-        keys = [_key(root, v, t) for v, t in es]
-        if new := {k: e for k, e in zip(keys, es) if k not in W}:
-            values, ts = zip(*new.values())
-            W.update(zip(new, w_matrix(self.spec, root, np.array(values), ts)))
-        b = len(ws) + len(winvs) + len(one)
-        stack = lambda table, ks: np.array([table[k] for k in ks])
-        for table, ks, build in ((WINV, keys[len(ws):b], lambda ks: INV(stack(W, ks))),
-                                 (H, keys[b:], lambda ks: stack(W, ks) @ WINV[keys[b - 1]]),
-                                 (HINV, keys[len(keys) - len(hinvs):],
-                                  lambda ks: INV(stack(H, ks)))):
-            if ks := [k for k in dict.fromkeys(ks) if k not in table]:
-                table.update(zip(ks, build(ks)))
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +380,9 @@ def _center_so(spec, rng, i):
 def _center_su(spec, rng, i):
     n = spec.n
     if spec.tail > 0:
-        w = _Words(spec).w(parse_label(f"L{n}", n), (0.0,) * spec.tail, -1.0)
+        w = w_matrix(spec, parse_label(f"L{n}", n), (0.0,) * spec.tail, -1.0)
     else:
-        w = _Words(spec).w(parse_label(f"2L{n}", n), -1.0)
+        w = w_matrix(spec, parse_label(f"2L{n}", n), -1.0)
     h = w @ w
     expected = np.ones(spec.size, dtype=complex)
     expected[n - 1] = expected[2 * n - 1] = -1.0
@@ -464,7 +427,6 @@ def _vector_conj(spec, words, a, z, inputs):
     vec, vec1, diff, plus = _conj_labels(spec.n)
     w = words.w
     na2 = float(np.vdot(a, a).real)
-    words.want(vec, w=[-a / z, a / z], winv=[a])
     Wd, Wd_inv, H, H_inv = w(diff, z), words.winv(diff, z), words.h(diff, z), words.hinv(diff, z)
     Wv, Wv_inv = w(vec, a), words.winv(vec, a)
     yield ("w_Ln(a) w_Ln-1-Ln(z) w_Ln(a)^-1 = w_Ln-1+Ln(-|a|^2 z/2)",
@@ -481,14 +443,12 @@ def _vector_conj(spec, words, a, z, inputs):
            Wv @ H @ Wv_inv, words.h(plus, -0.5 * na2 * z) @ words.hinv(plus, -0.5 * na2), inputs)
 
 
-def _reflection_draws(spec, words, rng, cx):
+def _reflection_draws(spec, rng, cx):
     """sqrt2 u_i of the word w_Ln(sqrt2 u_1) ... w_Ln(sqrt2 u_c), c in 1..3 random unit
-    vectors u, and one more unit vector u: their chains w_Ln(sqrt2 u) are asked for."""
+    vectors u, and one more unit vector u."""
     count = int(rng.integers(1, 4))
     us = [np.sqrt(2.0) * _unit_vec(rng, spec.tail, cx) for _ in range(count)]
-    u = _unit_vec(rng, spec.tail, cx)
-    words.want(parse_label(f"L{spec.n}", spec.n), w=us + [np.sqrt(2.0) * u])
-    return us, u
+    return us, _unit_vec(rng, spec.tail, cx)
 
 
 def _conj_so(spec, rng, i):
@@ -498,7 +458,7 @@ def _conj_so(spec, rng, i):
     a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     t = _inv_real(rng)
     inputs = {"a": a, "t": t}
-    us, av = _reflection_draws(spec, words, rng, cx=False)
+    us, av = _reflection_draws(spec, rng, cx=False)
     yield from _vector_conj(spec, words, a, t, inputs)
     # reflection-group conjugation (le:14 analog at matrix level)
     W = reduce(matmul, [w(vec, u) for u in us], identity(spec.size))
@@ -534,13 +494,12 @@ def _conj_su(spec, rng, i):
     while np.linalg.norm(a) < 0.25:
         a = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
     inputs = {"z": z, "t": t, "a": a}
-    us, av = _reflection_draws(spec, words, rng, cx=True)
+    us, av = _reflection_draws(spec, rng, cx=True)
     tb = _ureal(rng)
     bvec = rng.uniform(-2, 2, size=k) + 1j * rng.uniform(-2, 2, size=k)
     tgen = _inv_real(rng)
     t1 = _inv_real(rng)
     b = np.asarray(rand_param(spec, vec, rng, invertible=True).a)
-    words.want(vec, w=[(b, t1)], winv=[(a, tgen)])
     yield from _vector_conj(spec, words, a, z, inputs)
     # reflection-group conjugation of chains and unipotents
     count = len(us)
@@ -576,7 +535,6 @@ def _conj_su(spec, rng, i):
 
 
 def _symbol_scalar(spec, rng, i):
-    words = _Words(spec)
     root = parse_label("L1-L2", spec.n)
     I = identity(spec.size)
     t1, t2, t3 = (_inv_scalar(spec, rng) for _ in range(3))
@@ -587,11 +545,15 @@ def _symbol_scalar(spec, rng, i):
     t12, t23 = t1 * t2, t2 * t3
     # {s, t} = h(s) h(t) h(st)^-1, the identity matrix if the symbol dies
     pairs = [(t1, t2), (t1, t23), (t1, t3), (t12, t3), (t2, t3), (t2, t1), (u, 1.0 - u), (u, -u)]
-    words.want(root, h=[x for xy in pairs for x in xy], hinv=[s * t for s, t in pairs])
-    h, hinv = partial(words.h, root), partial(words.hinv, root)
-    # the symbols as one stacked product
-    sym = dict(zip(pairs, np.array([h(s) for s, _ in pairs]) @ np.array([h(t) for _, t in pairs])
-                   @ np.array([hinv(s * t) for s, t in pairs])))
+    products = list(dict.fromkeys(s * t for s, t in pairs))
+    # the distinct values 1, s, t and st as one chain stack, h(x) = w(x) w(1)^-1, the
+    # h(st) inverted as one stacked INV and the symbols as one stacked product
+    at = {x: k for k, x in enumerate(dict.fromkeys([1.0, *sum(pairs, ()), *products]))}
+    W = w_matrix(spec, root, np.array(list(at)))
+    H = W @ INV(W[:1])
+    hinv = dict(zip(products, INV(H[[at[st] for st in products]])))
+    sym = dict(zip(pairs, H[[at[s] for s, _ in pairs]] @ H[[at[t] for _, t in pairs]]
+                   @ np.array([hinv[s * t] for s, t in pairs])))
     yield "{t1, t2} = id", sym[t1, t2], I, inputs
     yield "{t1, t2 t3} = {t1, t2} {t1, t3}", sym[t1, t23], sym[t1, t2] @ sym[t1, t3], inputs
     yield "{t1 t2, t3} = {t1, t3} {t2, t3}", sym[t12, t3], sym[t1, t3] @ sym[t2, t3], inputs

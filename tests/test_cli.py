@@ -334,7 +334,9 @@ def test_ascii_decimal_entries_are_read_as_typed(capsys):
 STRICT_JSON = {"duplicate-key": ('{"t": 1, "t": 2}', "duplicate key 't'"),
                "nan": ('{"t": NaN}', "NaN is not finite"),
                "infinity": ('{"t": Infinity}', "Infinity is not finite"),
-               "minus-infinity": ('{"t": -Infinity}', "-Infinity is not finite")}
+               "minus-infinity": ('{"t": -Infinity}', "-Infinity is not finite"),
+               "overflow": ('{"t": -2.5e400}', "-2.5e400 is not finite"),
+               "huge-integer": ('{"t": 1' + "0" * 400 + "}", "0 is not finite")}
 
 
 @pytest.mark.parametrize("case", STRICT_JSON)

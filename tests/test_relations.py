@@ -461,19 +461,22 @@ def test_symbol_samplers_build_each_word_once(monkeypatch):
         words = [tuple(x) for x in np.asarray(rot[0][2]).T]
         assert len(words) in (9, 10) and len(set(words)) == len(words)
         assert not chain
-    for i in range(12):
-        _sample_calls("symbol-R", spec, i, inv, rot, chain)
-        # w(1)^-1 once, then h(st)^-1 once per distinct product st of the symbols
-        # {t1,t2}, {t1,t2 t3}, {t1,t3}, {t1 t2,t3}, {t2,t3}, {t2,t1}, {t,1-t} and
-        # {t,-t}: t1 t2 (= t2 t1), t1 (t2 t3), t1 t3, (t1 t2) t3, t2 t3, t(1-t) and
-        # t(-t), 7, or 6 where the two triple products round alike
-        assert len(_inverted(inv)) in (1 + 6, 1 + 7)
-        # w(1) and the h words t1, t2, t3, t2 t3, t1 (t2 t3), t1 t2, t1 t3, (t1 t2) t3,
-        # t, 1-t, -t, t(1-t), t(-t) with t = t1 unless t1 was redrawn near 1; the
-        # triple products may round alike
-        words = [(root, value) for root, value, _ in _chains(chain)]
-        assert 1 + 11 <= len(words) <= 1 + 13 and len(set(words)) == len(words)
-        assert not rot
+    for suite_id, spec in (("symbol-R", spec), ("symbol-C", GroupSpec("su", 5, 3))):
+        for i in range(12):
+            _sample_calls(suite_id, spec, i, inv, rot, chain)
+            # w(1)^-1 once, then h(st)^-1 once per distinct product st of the symbols
+            # {t1,t2}, {t1,t2 t3}, {t1,t3}, {t1 t2,t3}, {t2,t3}, {t2,t1}, {t,1-t} and
+            # {t,-t}: t1 t2 (= t2 t1), t1 (t2 t3), t1 t3, (t1 t2) t3, t2 t3, t(1-t) and
+            # t(-t), 7, or 6 where the two triple products round alike
+            assert len(_inverted(inv)) in (1 + 6, 1 + 7), (suite_id, i)
+            # w(1) and the h words t1, t2, t3, t2 t3, t1 (t2 t3), t1 t2, t1 t3, (t1 t2) t3,
+            # t, 1-t, -t, t(1-t), t(-t) with t = t1 unless t1 was redrawn near 1; the
+            # triple products may round alike
+            words = [(root, value) for root, value, _ in _chains(chain)]
+            assert 1 + 11 <= len(words) <= 1 + 13 and len(set(words)) == len(words)
+            # every chain of the sample in one stacked call
+            assert len(chain) == 1, (suite_id, i)
+            assert not rot
 
 
 # the samplers that build chains, on a spec where each builds all of its chains
