@@ -115,17 +115,6 @@ def is_zero_param(p) -> bool:
     return param_norm(p) <= ZERO_PARAM_EPS
 
 
-def param_neg(p):
-    """Parameter of the inverse element: x(p)^-1 = x(param_neg(p))."""
-    if isinstance(p, Scalar):
-        return Scalar(-p.t)
-    if isinstance(p, Cx):
-        return Cx(-p.z)
-    if isinstance(p, RVec):
-        return RVec(tuple(-x for x in p.a))
-    return Heis(-p.t, tuple(-x for x in p.a))
-
-
 def param_to_json(p) -> dict:
     if isinstance(p, Scalar):
         return {"t": p.t}
@@ -198,6 +187,19 @@ def _letter(spec: GroupSpec, root: RootLabel, value, a0: complex = 0j) -> np.nda
         M[tail, col] -= value.conjugate()
         M[pos] = 0j + a0
     return S
+
+
+def _letter_inverse(root: RootLabel, X: np.ndarray) -> np.ndarray:
+    """x_root(p)^-1 from the letter X = x_root(p), byte for byte the letter _letter
+    writes at the negated parameter.  X = I + N + N^2/2, and N^2 is nonzero only at
+    the central entry a0 of a +-L_i root, so X^-1 = I - N + N^2/2 is 2I - X but for
+    that entry, which keeps the real part -|a|^2/2: it is 2 Re(a0) - a0.  Off the
+    diagonal an entry is 0 - x, with the signed zeros of the 0 + (-x) _letter writes."""
+    Y = 2.0 * _eye(len(X)) - X
+    if root.kind == "vec":
+        pos = root.position[1]
+        Y[pos] = 2.0 * X[pos].real - X[pos]
+    return Y
 
 
 def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
@@ -430,7 +432,8 @@ def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
         raise VariantUnsupported("orthogonal rotations take real (a, b)")
     if not planes:   # an empty stack
         return np.empty(shape, dtype=complex)
-    frames = [_rot_frame(spec, i) for i in planes]
+    frame = {i: _rot_frame(spec, i) for i in set(planes)}
+    frames = [frame[i] for i in planes]
     # the fixed factors, as they are for one word, else gathered into stacks
     fixed = frames[0][1] if js.ndim == 0 else np.array([f[1] for f in frames]).swapaxes(0, 1)
     Xe, Ye = (fixed[q].reshape(js.shape + (spec.size,) * 2) for q in (0, 1))

@@ -154,7 +154,9 @@ def stable_cycle_feasible(spec: GroupSpec, cycle: CycleSpec):
     A = np.array([r.coeffs for r in cycle.roots], dtype=float)
     f = np.zeros(spec.n + 1)
     f[-1] = 1.0
-    u, _ = nnls(np.vstack([-A.T, np.ones(len(A))]), f)
+    E = np.ones((spec.n + 1, len(A)))
+    np.negative(A.T, out=E[:-1])
+    u, _ = nnls(E, f)
     t = -A.T @ u
     top = float((A @ t).max())
     if not top < 0:

@@ -29,12 +29,13 @@ import numpy as np
 from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
                      UnknownSuite)
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpotent_log
-from .generators import (Cx, Heis, RVec, Scalar, _x_matrix, h_rot, heis_read, param_add,
-                         param_neg, param_to_json, w_matrix, x_elem)
+from .generators import (Cx, Heis, RVec, Scalar, _letter_inverse, _x_matrix, h_rot, heis_read,
+                         param_add, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
 from .words import plane_words, staircase_rows, su2_euler
 
 INV = np.linalg.inv
+_WORD = 1 << 32   # SeedSequence's entropy word: an int below it is one uint32
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +43,20 @@ INV = np.linalg.inv
 
 
 def rng_for(seed: int, suite_id: str, index: int) -> np.random.Generator:
+    """The generator of sample ``index`` of a suite: PCG64 seeded by
+    SeedSequence((seed, crc32(suite_id), index)), as default_rng builds it.
+
+    When seed and index lie in [0, 2^32), each of the three is one 32-bit word of
+    the entropy, so it is passed as that uint32 array: SeedSequence makes the same
+    words from the tuple, only slower.  Any other seed or index takes the tuple,
+    so a negative one raises SeedSequence's own error."""
+    seed, index = int(seed), int(index)
     tag = zlib.crc32(suite_id.encode())
-    return np.random.default_rng(np.random.SeedSequence((int(seed), tag, int(index))))
+    if 0 <= seed < _WORD and 0 <= index < _WORD:
+        entropy = np.array([seed, tag, index], dtype=np.uint32)
+    else:
+        entropy = (seed, tag, index)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _ureal(rng):
@@ -243,13 +256,17 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     (r = -c*p, c > 0) are rejected: their commutator leaves the unipotent
     world.  The cache changes no bit of a table: ``to_json()`` is the same,
     byte for byte, whether a pair's plan is found afresh or read back.
+    The inverses x_r(a)^-1 and x_p(b)^-1 are taken from the letters A and B
+    by ``_letter_inverse``: 2I - X, with a +-L_i letter's central entry a0
+    turned into 2 Re(a0) - a0.  That is exact, because X = I + N + N^2/2 and
+    N^2 lives only in that entry, and it is byte for byte the letter of the
+    negated parameter.
     """
     if anti_proportional(r, p):
         raise OppositeRoots(f"{r} and {p} span opposite root group directions")
     A = x_elem(spec, r, a)
     B = x_elem(spec, p, b)
-    # one-root generators invert exactly through parameter negation
-    C = A @ B @ _x_matrix(spec, r, param_neg(a)) @ _x_matrix(spec, p, param_neg(b))
+    C = A @ B @ _letter_inverse(r, A) @ _letter_inverse(p, B)
     plan = _term_plan(root_index, spec.family, spec.m, spec.n, r.coeffs, p.coeffs)
     if plan:
         X = nilpotent_log(C, tol)

@@ -7,10 +7,10 @@ product of adjacent-plane rotations (orthogonal: one angle per position;
 unitary: an Euler triple real/imag/real per position) and reconstructs it from
 rotation words.  Both families share one path: a unitary Givens step per
 plane, applied in place, whose inverse is read through ``su2_euler`` (an
-orthogonal step is a real rotation, so only its first Euler angle is
-recorded), and the rotation words of all entries as one stack
-(``plane_words``).  The unchecked Givens core also solves the braid exchange
-of the relation suites.
+orthogonal step is a real rotation, whose one angle is read as su2_euler's
+first angle, by the same arctan2), and the rotation words of all entries as
+one stack (``plane_words``).  The unchecked Givens core also solves the braid
+exchange of the relation suites.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
-from .matrixcore import DEFAULT_TOL, GroupSpec, identity, json_field, json_loads
+from .matrixcore import (DEFAULT_TOL, GroupSpec, _eye, _frobenius, identity, json_field,
+                         json_loads)
 from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
                          param_to_json, rot_from_angle)
 from .rootsystem import RootLabel, parse_root
@@ -168,12 +169,15 @@ def _check_tail_block(spec: GroupSpec, B: np.ndarray) -> np.ndarray:
     if B.shape != (k, k):
         raise SizeMismatch(f"tail block must be {k}x{k}, got {B.shape}")
     B = np.asarray(B, dtype=complex)
+    # before any comparison, each of which an inf or a NaN could answer falsely
+    if not np.isfinite(B).all():
+        raise NotInGroup("tail block has a non-finite entry")
     if not spec.unitary:
         # an imaginary part within tolerance is dropped: the block is read by its real part
-        if np.linalg.norm(B.imag) > DEFAULT_TOL.rel * (1 + np.linalg.norm(B)):
+        if _frobenius(B.imag) > DEFAULT_TOL.rel * (1 + _frobenius(B)):
             raise NotInGroup("orthogonal-family tail block must be real")
         B = B.real.astype(complex)
-    if not DEFAULT_TOL.close(B.conj().T @ B, np.eye(k, dtype=complex)):
+    if not DEFAULT_TOL.close(B.conj().T @ B, _eye(k)):
         raise NotInGroup("tail block is not orthogonal/unitary to tolerance")
     if abs(np.linalg.det(B) - 1.0) > 1e-7:
         raise NotInGroup("tail block must have determinant 1")
@@ -196,7 +200,9 @@ def staircase_rows(B: np.ndarray, unitary: bool) -> tuple:
     step U = [[y_j, -y_i], [conj y_i, conj y_j]] / |y| zeroes y_i against
     y_j in place and records U^-1 by its Euler angles; a real block gives a
     real rotation U, whose middle and last angles are 0, so the orthogonal
-    family keeps the first angle only.
+    family keeps the first angle only.  It reads that angle as su2_euler
+    does: the imaginary parts of a real U are zeros of either sign, whose
+    hypot is +0, so su2_euler takes its p2 = 0 branch, arctan2(-y, x).
     """
     B = np.array(B, dtype=complex)
     rows = []
@@ -210,8 +216,8 @@ def staircase_rows(B: np.ndarray, unitary: bool) -> tuple:
             else:
                 U = np.array([[yj, -yi], [np.conj(yi), np.conj(yj)]]) / nrm
             B[i - 1:i + 1, :kk] = U @ B[i - 1:i + 1, :kk]
-            euler = su2_euler(U.conj().T)
-            row.append(euler if unitary else euler[0])
+            row.append(su2_euler(U.conj().T) if unitary else
+                       _canon_angle(float(np.arctan2(-U[1, 0].real, U[0, 0].real))))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -222,9 +228,10 @@ def reconstruct(spec: GroupSpec, stair: Staircase) -> np.ndarray:
     if stair.k != k or stair.family != spec.family:
         raise OutOfRange(f"staircase is for family={stair.family}, k={stair.k}, spec has {spec.family}, {k}")
     planes = [i for row in stair.rows for i in range(1, len(row) + 1)]
-    M = identity(spec.size)
+    M = _eye(spec.size)
     for P in plane_words(spec, planes, [entry for row in stair.rows for entry in row]):
         M = M @ P
-    if not DEFAULT_TOL.close(M[:2 * spec.n, :2 * spec.n], identity(2 * spec.n)):
+    if not DEFAULT_TOL.close(M[:2 * spec.n, :2 * spec.n], _eye(2 * spec.n)):
         raise NotInGroup("rotation words left the compact tail subgroup")
-    return M[2 * spec.n:, 2 * spec.n:]
+    # the shared identity itself when there is no word: a fresh one is returned
+    return M[2 * spec.n:, 2 * spec.n:] if planes else identity(k)

@@ -2,10 +2,11 @@
 negative-control patch of the relation suites.
 
 The references are the plain definitions the package's closed forms replace:
-the terminating exponential series of a nilpotent matrix, the ordered product
-of a word's generators, the chain elements from parameter objects, the rotation
-words h^j and the staircase product built one letter at a time, and membership
-in the Lie algebra of the invariant form.
+the terminating exponential series of a nilpotent matrix, a generator's inverse
+by parameter negation, the ordered product of a word's generators, the chain
+elements from parameter objects, the rotation words h^j and the staircase
+product built one letter at a time, the staircase rows read through su2_euler
+at every Givens step, and membership in the Lie algebra of the invariant form.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from rigidkit import generators
 from rigidkit.errors import NotNilpotent, SizeMismatch
-from rigidkit.generators import ZERO_PARAM_EPS, Cx, Heis, RVec, Scalar, param_neg, x_elem
+from rigidkit.generators import ZERO_PARAM_EPS, Cx, Heis, RVec, Scalar, x_elem
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _form_cached, identity
 from rigidkit.rootsystem import (GenericPlaneReport, RootLabel, cartan_vector,
                                  hyperplane_representatives, parse_root, root_value)
@@ -46,6 +47,17 @@ def exp_nilpotent(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             <= math.log(tol.rel) + size * math.log1p(norm_x))):
         raise NotNilpotent(f"X^{size} has norm {norm_power:.3e}, not nilpotent")
     return result
+
+
+def param_neg(p):
+    """Parameter of the inverse element: x(p)^-1 = x(param_neg(p))."""
+    if isinstance(p, Scalar):
+        return Scalar(-p.t)
+    if isinstance(p, Cx):
+        return Cx(-p.z)
+    if isinstance(p, RVec):
+        return RVec(tuple(-x for x in p.a))
+    return Heis(-p.t, tuple(-x for x in p.a))
 
 
 def eval_word(spec: GroupSpec, word) -> np.ndarray:
@@ -97,6 +109,28 @@ def verbatim_reconstruct(spec: GroupSpec, stair) -> np.ndarray:
                 P = rot(i, entry, "real")
             M = M @ P
     return M[2 * spec.n:, 2 * spec.n:]
+
+
+def euler_staircase_rows(B: np.ndarray, unitary: bool) -> tuple:
+    """The staircase rows of a block by the Givens loop that reads every step U^-1
+    through su2_euler, keeping only the first angle for the orthogonal family."""
+    from rigidkit.words import su2_euler
+    B = np.array(B, dtype=complex)
+    rows = []
+    for kk in range(B.shape[0], 1, -1):
+        row = []
+        for i in range(1, kk):
+            yi, yj = B[i - 1, kk - 1], B[i, kk - 1]
+            nrm = float(np.hypot(abs(yi), abs(yj)))
+            if nrm < 1e-300:
+                U = np.eye(2, dtype=complex)
+            else:
+                U = np.array([[yj, -yi], [np.conj(yi), np.conj(yj)]]) / nrm
+            B[i - 1:i + 1, :kk] = U @ B[i - 1:i + 1, :kk]
+            euler = su2_euler(U.conj().T)
+            row.append(euler if unitary else euler[0])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def verbatim_chain_params(spec: GroupSpec, root: RootLabel, p) -> tuple:

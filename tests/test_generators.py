@@ -7,13 +7,14 @@ from rigidkit.matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, basis_matrix,
                                  in_group, nilpotent_log)
 from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_rot,
                                  heis_compose, heis_read, param_add, param_from_json,
-                                 param_neg, param_to_json, reflection, w_closed_form,
+                                 param_to_json, reflection, w_closed_form,
                                  w_elem, w_matrix, x_elem)
 from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
 from rigidkit.relations import _Words, _extract_term, rand_param, rng_for
 from rigidkit import generators, matrixcore
 
-from reference import exp_nilpotent, verbatim_chain, verbatim_chain_params, verbatim_h_rot
+from reference import (exp_nilpotent, param_neg, verbatim_chain, verbatim_chain_params,
+                       verbatim_h_rot)
 
 SO43 = GroupSpec("so", 4, 3)
 SO53 = GroupSpec("so", 5, 3)
@@ -157,6 +158,41 @@ def test_additivity_and_inverse():
             assert DEFAULT_TOL.close(lhs, x_elem(spec, root, param_add(spec, root, p, q)))
             inv = x_elem(spec, root, p) @ x_elem(spec, root, param_neg(p))
             assert DEFAULT_TOL.close(inv, identity(spec.size))
+
+
+def _signed_zero_params(spec, root):
+    """Parameters at the signed-zero edges of a root's letter: zeros of either sign
+    in every part, and a negative long-root t."""
+    z = (0.0, -0.0)
+    if root.kind == "long":
+        return [Scalar(t) for t in (*z, -1.25)]
+    if root.kind == "pm":
+        return [Cx(complex(a, b)) for a in (*z, -0.5) for b in (*z, 1.5)] if spec.unitary \
+            else [Scalar(t) for t in (*z, -0.5)]
+    entries = [complex(a, b) for a in (*z, -0.5) for b in z] if spec.unitary else [*z, -0.5]
+    vecs = [tuple(entries[(i + j) % len(entries)] for j in range(spec.tail))
+            for i in range(len(entries))]
+    if spec.unitary:
+        return [Heis(t, v) for t in (*z, -0.75) for v in vecs]
+    return [RVec(v) for v in vecs]
+
+
+def test_letter_inverse_is_the_negated_letter_byte_for_byte():
+    # commutator_decompose inverts its letters as 2I - X with the a0 entry
+    # turned into 2 Re(a0) - a0; that must be the letter of the negated
+    # parameter, bit for bit, signed zeros included
+    rng = np.random.default_rng(26)
+    cases = ACCEPTANCE_ROOTS + [(GroupSpec("su", 7, 3), info.label)
+                                for info in roots(GroupSpec("su", 7, 3))]
+    count = 0
+    for spec, root in cases:
+        params = [rand_param(spec, root, rng) for _ in range(20)]
+        for p in params + _signed_zero_params(spec, root):
+            X = x_elem(spec, root, p)
+            inv = generators._letter_inverse(root, X)
+            assert inv.tobytes() == x_elem(spec, root, param_neg(p)).tobytes(), (spec, root, p)
+            count += 1
+    assert count > 4000
 
 
 def test_heis_readback_and_composition_law():

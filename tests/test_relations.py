@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import pytest
 from rigidkit.errors import (DecompositionResidual, NotInGroup, NotOnSphere, OppositeRoots,
                              SideConditionViolated, UnknownSuite)
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
-from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json, param_neg
+from rigidkit.generators import Cx, Heis, RVec, Scalar, param_from_json
 from rigidkit.rootsystem import RootLabel, is_root, parse_root, roots
 from rigidkit import generators, relations, words
 from rigidkit.cli import main as cli_main
 from rigidkit.relations import (anti_proportional, commutator_decompose, run_suite,
                                 suite_ids, suite_side_condition, trace_pairing, verify_all)
 
-from reference import negate_opposite_factors
+from reference import negate_opposite_factors, param_neg
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "commutators.json"
 GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
@@ -585,3 +586,24 @@ def test_trace_pairing_errors():
         trace_pairing(GroupSpec("su", 3, 3), np.zeros(0), np.zeros(0))
     with pytest.raises(SideConditionViolated):
         trace_pairing(GroupSpec("so", 5, 3), np.array([1.0, 0]), np.array([1.0, 0]))
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (1, 7), (2**32 - 1, 2**32 - 1), (42, 2**32 - 1),
+                                         (2**32, 3), (2**40, 0), (5, 2**32), (2**40, 2**40)])
+def test_rng_for_is_the_seed_sequence_of_its_triple(seed, index):
+    # seed and index below 2^32 are passed as a uint32 array, larger ones as
+    # the tuple; either way the generator is default_rng(SeedSequence(triple))'s
+    tag = zlib.crc32(b"commutator")
+    want = np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
+    got = relations.rng_for(seed, "commutator", index)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-2**40, 5)])
+def test_rng_for_refuses_a_negative_seed_as_seed_sequence_does(seed, index):
+    with pytest.raises(ValueError) as want:
+        np.random.SeedSequence((seed, zlib.crc32(b"commutator"), index))
+    with pytest.raises(ValueError) as got:
+        relations.rng_for(seed, "commutator", index)
+    assert str(got.value) == str(want.value)

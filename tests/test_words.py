@@ -14,11 +14,11 @@ from rigidkit.rootsystem import parse_root, roots
 from rigidkit.relations import rand_param, rng_for
 from rigidkit import generators
 from rigidkit.words import (Letter, Staircase, free_reduce, load_word, reconstruct,
-                            staircase_decompose,
+                            staircase_decompose, staircase_rows,
                             su2_euler, word_from_json, word_to_json)
 
-from reference import (eval_word, negate_opposite_factors, verbatim_chain_params,
-                       verbatim_reconstruct)
+from reference import (euler_staircase_rows, eval_word, negate_opposite_factors,
+                       verbatim_chain_params, verbatim_reconstruct)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _report_set = importlib.util.spec_from_file_location("report_set", ROOT / "tools" / "report_set.py")
@@ -274,6 +274,34 @@ def test_staircase_so_reads_the_real_part_of_a_noisy_block():
     stair = staircase_decompose(spec, noisy)
     assert stair.rows == staircase_decompose(spec, B.real).rows
     assert DEFAULT_TOL.close(reconstruct(spec, stair), B)
+
+
+@pytest.mark.parametrize("family, m", [("so", 5), ("su", 5)])
+@pytest.mark.parametrize("entry", [complex(np.cos(0.75), np.inf), complex(np.nan, 0.0),
+                                   complex(np.cos(0.75), np.nan), complex(-np.inf, 0.0)],
+                         ids=["inf-imag", "nan-real", "nan-imag", "inf-real"])
+def test_staircase_rejects_a_non_finite_tail_block(family, m, entry):
+    # a rotation block with one non-finite entry is outside the group; without
+    # the finiteness check the orthogonal test of its imaginary part is inf > inf
+    spec = GroupSpec(family, m, 3)
+    B = np.array([[np.cos(0.75), -np.sin(0.75)], [np.sin(0.75), np.cos(0.75)]], dtype=complex)
+    B[0, 0] = entry
+    with pytest.raises(NotInGroup, match="non-finite"):
+        staircase_decompose(spec, B)
+
+
+def test_orthogonal_staircase_rows_are_the_first_euler_angles():
+    # an orthogonal step reads its one angle directly; it is su2_euler(U^H)[0],
+    # bit for bit, on Haar blocks of SO(2..5) and on blocks whose Givens steps
+    # meet an exactly zero pair: the identity and a zero column
+    rng = np.random.default_rng(26)
+    blocks = [_rand_so(rng, k) for k in (2, 3, 4, 5) for _ in range(2500)]
+    zero_col = _rand_so(rng, 4)
+    zero_col[:, 3] = 0.0
+    blocks += [np.eye(4, dtype=complex), zero_col, zero_col.real]
+    for B in blocks:   # repr tells the signs of zeros apart
+        assert repr(staircase_rows(B, False)) == repr(euler_staircase_rows(B, False))
+    assert repr(staircase_rows(zero_col, False)[0]) == "(0.0, 0.0, 0.0)"
 
 
 @pytest.mark.parametrize("family, rows", [

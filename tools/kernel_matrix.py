@@ -1,0 +1,60 @@
+"""Write the report set once per BLAS core and numpy SIMD level into OUTDIR.
+
+Usage: python3 tools/kernel_matrix.py OUTDIR
+
+The settings are OPENBLAS_CORETYPE in {SkylakeX, Haswell, Prescott} crossed
+with NPY_DISABLE_CPU_FEATURES unset (numpy's best level on the host) or set to
+"AVX512_SPR AVX512_ICL X86_V4" (X86_V3 on an AVX-512 host).  For each, the
+report set of this checkout (tools/report_set.py beside this script) is
+written into OUTDIR/<setting>/, and the machine facts of a child with the
+same environment (tools/bench_pairs.py's probe: the OpenBLAS core and numpy's
+SIMD extensions in force) into OUTDIR/<setting>.machine.json.  Only the
+children get the setting; this process's environment is left as it is.
+Two checkouts, run on one host, agree when ``diff -r`` of their OUTDIRs is
+empty.
+"""
+import json, os, subprocess, sys
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, TOOLS)
+from bench_pairs import MACHINE_PROBE  # noqa: E402
+
+CORES = ("SkylakeX", "Haswell", "Prescott")
+# numpy's dispatch levels: unset, or with the AVX-512 groups disabled
+SIMD = {"simd-default": None, "simd-noavx512": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+def settings():
+    """Every setting as (name, the environment entries it sets or removes)."""
+    return [(f"{core}.{level}", {"OPENBLAS_CORETYPE": core, "NPY_DISABLE_CPU_FEATURES": off})
+            for core in CORES for level, off in SIMD.items()]
+
+
+def child_env(entries: dict) -> dict:
+    env = dict(os.environ)
+    for key, value in entries.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def main(out):
+    os.makedirs(out, exist_ok=True)
+    for name, entries in settings():
+        env = child_env(entries)
+        facts = subprocess.run([sys.executable, "-c", MACHINE_PROBE], env=env, check=True,
+                               capture_output=True, text=True).stdout
+        with open(os.path.join(out, f"{name}.machine.json"), "w") as fh:
+            json.dump(json.loads(facts), fh, indent=1)
+            fh.write("\n")
+        subprocess.run([sys.executable, os.path.join(TOOLS, "report_set.py"),
+                        os.path.join(out, name)], env=env, check=True)
+        print(f"kernel_matrix: {name} done", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.splitlines()[2])
+    main(os.path.abspath(sys.argv[1]))
