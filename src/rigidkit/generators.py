@@ -5,13 +5,8 @@ terminates at order two for these root spaces), so elements are assembled
 entry by entry rather than through a general exponential.  The test suite
 cross-checks the closed forms against the terminating series of tests/reference.py.
 
-Parameter shapes per (family, root kind):
-
-    so  ±L_i±L_j  -> Scalar(t)            real t
-    so  ±L_i      -> RVec(a)              a in R^{m-n}
-    su  ±L_i±L_j  -> Cx(z)                complex z
-    su  ±2L_i     -> Scalar(t)            real t
-    su  ±L_i      -> Heis(t, a)           t real, a in C^{m-n}
+A parameter object is decoded once, by the table PARAM_CLASS, into the raw
+(value, t) the letters are computed from.
 """
 
 from __future__ import annotations
@@ -20,14 +15,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import matmul
+from operator import add, matmul
 
 import numpy as np
 
 from .errors import (NotOnSphere, OutOfRange, ParseError, ShapeMismatch, UnknownRoot,
                      VariantUnsupported, ZeroParameter)
 from .matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, _eye, in_group, json_complex,
-                         json_field, json_real)
+                         json_field, json_real, mat_to_json)
 from .rootsystem import RootLabel, embed, is_root, parse_label
 
 ZERO_PARAM_EPS = 1e-12
@@ -43,16 +38,19 @@ PARAM_MAX = (sys.float_info.max / MAX_SIZE ** 6) ** 0.125
 @dataclass(frozen=True)
 class Scalar:
     t: float
+    raw = property(lambda p: (p.t, 0.0))
 
 
 @dataclass(frozen=True)
 class Cx:
     z: complex
+    raw = property(lambda p: (p.z, 0.0))
 
 
 @dataclass(frozen=True)
 class RVec:
     a: tuple
+    raw = property(lambda p: (p.a, 0.0))
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
@@ -64,55 +62,60 @@ class Heis:
 
     t: float
     a: tuple
+    raw = property(lambda p: (p.a, p.t))
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
 
 
-def expected_shape(spec: GroupSpec, root: RootLabel):
-    kind = root.kind
-    if spec.unitary:
-        return {"pm": Cx, "vec": Heis, "long": Scalar}[kind]
-    if kind == "long":
-        raise UnknownRoot(f"{root} is not a root of {spec}")
-    return {"pm": Scalar, "vec": RVec}[kind]
+# The parameter class of each (family, root kind), the one statement of the shapes.
+# An object's raw (value, t) is what the letters are computed from; t is the central
+# part of a Heis parameter and 0.0 for the others:
+#   so  ±L_i±L_j  Scalar(t)    real t
+#   so  ±L_i      RVec(a)      a in R^{m-n}
+#   su  ±L_i±L_j  Cx(z)        complex z
+#   su  ±2L_i     Scalar(t)    real t
+#   su  ±L_i      Heis(t, a)   t real, a in C^{m-n}
+PARAM_CLASS = {("so", "pm"): Scalar, ("so", "vec"): RVec, ("su", "pm"): Cx,
+               ("su", "long"): Scalar, ("su", "vec"): Heis}
 
 
-def _raw(p) -> tuple:
-    """The raw (value, t) of a parameter object, as the chain core takes it."""
-    if isinstance(p, (RVec, Heis)):
-        return p.a, (p.t if isinstance(p, Heis) else 0.0)
-    return (p.z if isinstance(p, Cx) else p.t), 0.0
+def _param(spec: GroupSpec, root: RootLabel, value, t=0.0):
+    """The parameter object of root at the raw (value, t): the inverse of its raw."""
+    cls = PARAM_CLASS[spec.family, root.kind]
+    return cls(t, value) if spec.unitary and root.kind == "vec" else cls(value)
 
 
-def check_param(spec: GroupSpec, root: RootLabel, p) -> None:
+def check_param(spec: GroupSpec, root: RootLabel, p=None, value=None, t=0.0) -> tuple:
+    """The one check of a parameter of root, the object p or, without one, the raw
+    (value, t): the root; p's class, which must be the one PARAM_CLASS gives the root,
+    and then its raw (value, t); the vector length; a finite norm of at most PARAM_MAX.
+    Returns (v, t, norm), v the value the letters are computed from: a complex z, a
+    real t, or the vector part as a contiguous complex (unitary) or real (orthogonal)
+    array."""
     if not is_root(spec, root):
         raise UnknownRoot(f"{root} is not a root of {spec}")
-    want = expected_shape(spec, root)
-    if not isinstance(p, want):
-        raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, got {type(p).__name__}")
-    value, t = _raw(p)
-    vector = want in (RVec, Heis)
-    if vector and len(value) != spec.tail:
-        raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(value)}")
-    parts = (t, *value) if vector else (value,)
-    if not math.hypot(*map(abs, parts)) <= PARAM_MAX:   # written so that a NaN fails it
+    if p is not None:
+        want = PARAM_CLASS[spec.family, root.kind]
+        if not isinstance(p, want):
+            raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, "
+                                f"got {type(p).__name__}")
+        value, t = p.raw
+    kind, unitary = root.kind, spec.unitary
+    if kind != "vec":
+        v = complex(value) if kind == "pm" and unitary else float(value)
+        norm = abs(v)
+    else:
+        v = (np.ascontiguousarray(value, dtype=complex) if unitary
+             else np.ascontiguousarray(np.asarray(value).real, dtype=float))
+        if len(v) != spec.tail:
+            raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(v)}")
+        norm = math.hypot(t, *map(abs, v.tolist()))   # no square can overflow
+    if not norm <= PARAM_MAX:   # written so that a NaN fails it
+        got = p if p is not None else f"{value!r} (t = {t!r})"
         raise OutOfRange(f"parameter of root {root} must be finite with norm at most "
-                         f"{PARAM_MAX:.3g}, got {p}")
-
-
-def param_norm(p) -> float:
-    if isinstance(p, Scalar):
-        return abs(p.t)
-    if isinstance(p, Cx):
-        return abs(p.z)
-    if isinstance(p, RVec):
-        return float(np.linalg.norm(p.a))
-    return float(np.hypot(abs(p.t), np.linalg.norm(p.a)))
-
-
-def is_zero_param(p) -> bool:
-    return param_norm(p) <= ZERO_PARAM_EPS
+                         f"{PARAM_MAX:.3g}, got {got}")
+    return v, t, norm
 
 
 def param_to_json(p) -> dict:
@@ -141,51 +144,52 @@ def param_from_json(obj: dict):
     raise ShapeMismatch(f"unrecognized parameter encoding {obj}")
 
 
-def _a0(spec: GroupSpec, a: np.ndarray, t=0.0) -> complex:
-    """The central entry -|a|^2/2 + t i of a vector root's letter (complex a): |a|^2
-    by np.vdot (unitary) or the dot of the strided real parts (orthogonal), as always
-    written; a contiguous real dot may round differently."""
-    return complex(-0.5 * float((np.vdot(a, a) if spec.unitary else a.real.dot(a.real)).real), t)
-
-
 # ---------------------------------------------------------------------------
 # one-root generators
 
 
 def x_elem(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
     """The unipotent generator x_root(p), as an exact matrix."""
-    check_param(spec, root, p)
-    return _x_matrix(spec, root, p)
+    v, t, _ = check_param(spec, root, p)
+    return _x_matrix(spec, root, v, t)
 
 
 def _letter(spec: GroupSpec, root: RootLabel, value, a0: complex = 0j) -> np.ndarray:
     """x_root at raw values, the one place a letter's entries are written: ``value``
     is the complex z of a +-L_i+-L_j root, the real t of a +-2L_i root, or the complex
-    vector part of a +-L_i root, whose central entry is a0.  Given W values (an array
-    of W scalars, or of W vector parts with W central entries) it writes the W letters
-    as one (W, N, N) stack, through a view in which M[pos] is that entry of each."""
-    kind, pos = root.position
+    vector part of a +-L_i root, whose central entry is a0.  Given an array of values
+    of any leading shape (scalars, or vector parts along the last axis, with central
+    entries of that shape) it writes those letters as one stack of that leading shape.
+
+    Every entry written lies off the diagonal, at the identity's 0: it is 0 plus the
+    nilpotent part's entry x, a sum kept for its signed zeros.  One letter is written
+    into the identity as those sums.  A stack has each x written into zeros and the
+    identity added last, which forms the same sums: x + 0 is 0 + x, and -x + 0 is
+    0 - x, bit for bit."""
+    kind, (row, col) = root.position
+    # the vector fills row `row` of the tail columns and, mirrored, column `col` of
+    # the tail rows; the a0 entry at (row, col) carries the Heisenberg part
+    tail = slice(2 * spec.n, None) if kind == "vec" else None
     if type(value) is np.ndarray and value.ndim > (kind == "vec"):
-        S = _eye(spec.size)[None].repeat(len(value), 0)
-        M, value = S.transpose(1, 2, 0), value.T
-    else:
-        S = M = _eye(spec.size).copy()
-    # every entry written lies off the diagonal, at the identity's 0: it is 0 plus
-    # the nilpotent part's entry, a sum kept for its signed zeros (one entry is
-    # assigned that sum, a vector part added in place)
+        S = np.zeros(value.shape[:value.ndim - (kind == "vec")] + (spec.size,) * 2, dtype=complex)
+        if kind == "vec":
+            S[..., row, tail], S[..., tail, col], S[..., row, col] = value, -value.conjugate(), a0
+        else:
+            S[..., row, col] = 1j * value if kind == "long" else value
+            if kind == "pm":
+                S[(..., *root.mirror)] = -value.conjugate()
+        S += _eye(spec.size)
+        return S
+    S = _eye(spec.size).copy()
     if kind == "pm":
-        M[pos] = 0j + value
-        M[root.mirror] = 0j - value.conjugate()
+        S[row, col] = 0j + value
+        S[root.mirror] = 0j - value.conjugate()
     elif kind == "long":
-        M[pos] = 0j + 1j * value
+        S[row, col] = 0j + 1j * value
     else:
-        # the vector fills row `row` of the tail columns and, mirrored, column `col`
-        # of the tail rows; the a0 entry carries the Heisenberg part
-        row, col = pos
-        tail = slice(2 * spec.n, None)
-        M[row, tail] += value
-        M[tail, col] -= value.conjugate()
-        M[pos] = 0j + a0
+        S[row, tail] += value
+        S[tail, col] -= value.conjugate()
+        S[row, col] = 0j + a0
     return S
 
 
@@ -202,93 +206,79 @@ def _letter_inverse(root: RootLabel, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _x_matrix(spec: GroupSpec, root: RootLabel, p) -> np.ndarray:
-    if type(p) is Scalar:
-        return _letter(spec, root, complex(p.t) if root.kind == "pm" else p.t)
-    if type(p) is Cx:
-        return _letter(spec, root, complex(p.z))
-    a = np.asarray(p.a, dtype=complex)
-    return _letter(spec, root, a, _a0(spec, a, p.t if type(p) is Heis else 0.0))
+def _x_args(spec: GroupSpec, kind: str, value, t=0.0) -> tuple:
+    """_letter's arguments at the raw (value, t) for a root of this kind or its negative,
+    unchecked.  A +-L_i root's central entry is -|a|^2/2 + t i (complex a): |a|^2 by
+    np.vdot (unitary) or the strided real parts' dot (orthogonal), as always written;
+    a contiguous real dot may round differently."""
+    if kind != "vec":
+        return (complex(value) if kind == "pm" else value),
+    a = np.asarray(value, dtype=complex)
+    a2 = np.vdot(a, a) if spec.unitary else a.real.dot(a.real)
+    return a, complex(-0.5 * float(a2.real), t)
 
 
-def heis_read(spec: GroupSpec, root: RootLabel, M: np.ndarray) -> Heis:
-    """Read the (t, a) coordinates of a unipotent ±L_i element off its entries."""
-    _, (row, col) = root.position
-    return Heis(float(M[row, col].imag), tuple(M[row, 2 * spec.n:]))
+def _x_matrix(spec: GroupSpec, root: RootLabel, value, t=0.0) -> np.ndarray:
+    """x_root at the raw (value, t), unchecked."""
+    return _letter(spec, root, *_x_args(spec, root.kind, value, t))
 
 
-def heis_compose(spec: GroupSpec, root: RootLabel, p: Heis, q: Heis) -> Heis:
-    """Group composition law in (t, a) coordinates, read off the product."""
-    return heis_read(spec, root, _x_matrix(spec, root, p) @ _x_matrix(spec, root, q))
+def _read_letter(spec: GroupSpec, root: RootLabel, X: np.ndarray) -> tuple:
+    """The raw (value, t) of x_root read off the letter X, or off its nilpotent log,
+    which has the same entries but the real part of a0: the inverse of _letter."""
+    kind, pos = root.position
+    if kind == "long":
+        return float(X[pos].imag), 0.0
+    if kind == "pm":
+        return (complex(X[pos]) if spec.unitary else float(X[pos].real)), 0.0
+    a = X[pos[0], 2 * spec.n:]
+    return (a.copy(), float(X[pos].imag)) if spec.unitary else (a.real, 0.0)
 
 
 def param_add(spec: GroupSpec, root: RootLabel, p, q):
-    """Parameter of x(p) x(q); plain addition except for the Heisenberg case."""
-    if isinstance(p, Scalar):
-        return Scalar(p.t + q.t)
-    if isinstance(p, Cx):
-        return Cx(p.z + q.z)
-    if isinstance(p, RVec):
-        return RVec(tuple(x + y for x, y in zip(p.a, q.a)))
-    return heis_compose(spec, root, p, q)
+    """Parameter of x(p) x(q): the raw values add, but for the Heisenberg case, whose
+    composition law is read off the product."""
+    (v, t), (w, s) = p.raw, q.raw
+    if spec.unitary and root.kind == "vec":
+        return _param(spec, root, *_read_letter(spec, root, _x_matrix(spec, root, v, t)
+                                                @ _x_matrix(spec, root, w, s)))
+    return _param(spec, root, tuple(map(add, v, w)) if root.kind == "vec" else v + w)
 
 
 # ---------------------------------------------------------------------------
 # chain ("Weyl") elements
 
 
-def _chain_values(spec: GroupSpec, root: RootLabel, value, t=0.0) -> tuple:
+def _chain_values(spec: GroupSpec, root: RootLabel, value, t=0.0, p=None) -> tuple:
     """The _letter arguments (x0, y0, x1) of the chain w = x0 y0 x1 at w_matrix's raw
-    parameter, y0 of -root, after one validation: the root, the vector length, a
-    finite norm of at most PARAM_MAX, a nonzero parameter.  x1 is x0 but for the
-    general unitary Heisenberg chain, which rotates the trailing vector part."""
-    if not is_root(spec, root):
-        raise UnknownRoot(f"{root} is not a root of {spec}")
-    kind, unitary = root.kind, spec.unitary
-    if kind != "vec":
-        s = complex(value) if kind == "pm" and unitary else float(value)
-        norm = abs(s)
-    else:
-        a = (np.ascontiguousarray(value, dtype=complex) if unitary
-             else np.ascontiguousarray(np.real(value), dtype=float))
-        if len(a) != spec.tail:
-            raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(a)}")
-        # np.linalg.norm, by its own sums: the t = 0 Heisenberg branch divides by it
-        na2 = a.real.dot(a.real) + a.imag.dot(a.imag) if unitary else float(a.dot(a))
-        norm_a = math.sqrt(na2)
-        norm = math.hypot(t, norm_a)
-    if not norm <= PARAM_MAX:   # written so that a NaN fails it
-        raise OutOfRange(f"parameter of root {root} must be finite with norm at most "
-                         f"{PARAM_MAX:.3g}, got {value!r} (t = {t!r})")
+    parameter, or at the parameter object p, y0 of -root, once check_param has checked
+    it and found it nonzero.  x1 is x0 but for the general unitary Heisenberg chain,
+    which rotates the trailing vector part."""
+    v, t, norm = check_param(spec, root, p, value, t)
     if norm <= ZERO_PARAM_EPS:
         raise ZeroParameter(f"chain element of {root} needs a nonzero parameter")
-    if kind == "long":
-        x = (s,)
-        return x, (1.0 / s,), x
-    if kind == "pm":
-        x = (complex(s),)
-        return x, ((-1.0 / s) if unitary else complex(-1.0 / s),), x
-    if not unitary:
-        ac, yc = a.astype(complex), (2.0 * a / na2).astype(complex)
-        x = (ac, _a0(spec, ac))
-        return x, (yc, _a0(spec, yc)), x
+    kind = root.kind
+    if kind != "vec" or not spec.unitary:
+        # y0 at 1/t, -1/z or 2a/|a|^2; an orthogonal letter has no central part
+        x = _x_args(spec, kind, v)
+        y = 1.0 / v if kind == "long" else -1.0 / v if kind == "pm" else 2.0 * v / float(v.dot(v))
+        return x, _x_args(spec, kind, y), x
     # unitary Heisenberg; the general formula covers all branches but the
-    # degenerate ones are dispatched on their simpler certified forms
-    a0 = _a0(spec, a, t)
-    x = (a, a0)
+    # degenerate ones are dispatched on their simpler certified forms.  |a| is
+    # np.linalg.norm's, by its own sums: the t = 0 branch divides by its square
+    x = _x_args(spec, kind, v, t)
+    a0, norm_a = x[1], math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     if norm_a <= ZERO_PARAM_EPS:
-        return x, (a, complex(a0.real, 1.0 / t)), x
+        return x, _x_args(spec, kind, v, 1.0 / t), x
     if abs(t) <= ZERO_PARAM_EPS:
-        ya = 2.0 * a / norm_a**2
-        return x, (ya, _a0(spec, ya)), x
-    ya, xa = -a / a0, np.conj(a0) / a0 * a
-    return x, (ya, _a0(spec, ya, t / abs(a0) ** 2)), (xa, _a0(spec, xa, t))
+        return x, _x_args(spec, kind, 2.0 * v / norm_a**2), x
+    return (x, _x_args(spec, kind, -v / a0, t / abs(a0) ** 2),
+            _x_args(spec, kind, np.conj(a0) / a0 * v, t))
 
 
-def _chain_factors(spec: GroupSpec, root: RootLabel, value, t=0.0) -> tuple:
-    """The three one-root factors (X0, Y0, X1) of the chain element at a raw
-    parameter, written by _letter; when x1 is x0, X0 is returned as X1 too."""
-    x0, y0, x1 = _chain_values(spec, root, value, t)
+def _chain_factors(spec: GroupSpec, root: RootLabel, value, t=0.0, p=None) -> tuple:
+    """The factors (X0, Y0, X1) of the chain, by _letter; X0 is also X1 when x1 is x0."""
+    x0, y0, x1 = _chain_values(spec, root, value, t, p)
     X0, Y0 = _letter(spec, root, *x0), _letter(spec, -root, *y0)
     return X0, Y0, (X0 if x1 is x0 else _letter(spec, root, *x1))
 
@@ -303,10 +293,7 @@ def w_matrix(spec: GroupSpec, root: RootLabel, p, t=0.0) -> np.ndarray:
     byte for byte its one-chain call: each value is validated and computed by
     _chain_values as for one chain, its letters are written as stacks and the
     products taken once for the stack.  Nothing is cached."""
-    if isinstance(p, (Scalar, Cx, RVec, Heis)):
-        check_param(spec, root, p)
-        p, t = _raw(p)
-    elif type(p) is np.ndarray and p.ndim > (is_root(spec, root) and root.kind == "vec"):
+    if type(p) is np.ndarray and p.ndim > (is_root(spec, root) and root.kind == "vec"):
         ts = [t] * len(p) if np.isscalar(t) else t
         x0, y0, x1 = zip(*[_chain_values(spec, root, v, s)
                            for v, s in zip(p if p.ndim > 1 else p.tolist(), ts)])
@@ -314,7 +301,8 @@ def w_matrix(spec: GroupSpec, root: RootLabel, p, t=0.0) -> np.ndarray:
         X0, Y0 = stack(root, x0), stack(-root, y0)
         X1 = X0 if all(x is y for x, y in zip(x1, x0)) else stack(root, x1)
         return X0 @ Y0 @ X1
-    X0, Y0, X1 = _chain_factors(spec, root, p, t)
+    obj = p if hasattr(p, "raw") else None   # a parameter object, or a raw value
+    X0, Y0, X1 = _chain_factors(spec, root, p, t, obj)
     return X0 @ Y0 @ X1
 
 
@@ -336,7 +324,6 @@ class ChainCertificate:
     reflection_checked: bool
 
     def to_json(self) -> dict:
-        from .matrixcore import mat_to_json
         return {
             "factors": [mat_to_json(self.x_i), mat_to_json(self.y_i), mat_to_json(self.x_next)],
             "w": mat_to_json(self.w),
@@ -346,8 +333,7 @@ class ChainCertificate:
 
 def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
     """Chain element with its factorization and reflection certificate, to DEFAULT_TOL."""
-    check_param(spec, root, p)
-    X0, Y0, X1 = _chain_factors(spec, root, *_raw(p))
+    X0, Y0, X1 = _chain_factors(spec, root, None, p=p)
     w = X0 @ Y0 @ X1
     w_inv = np.linalg.inv(w)
     ok = in_group(w, spec)
@@ -364,38 +350,19 @@ def w_elem(spec: GroupSpec, root: RootLabel, p) -> ChainCertificate:
 
 @lru_cache(maxsize=None)
 def _rot_frame(spec: GroupSpec, j: int) -> tuple:
-    """The label L_n and the fixed factors x_{+-L_n}(-sqrt2 e_j) of h^j in one (2, N, N)
-    array, shared and read-only: they depend on neither the angle nor the variant."""
-    pos, neg = parse_label(f"L{spec.n}", spec.n), parse_label(f"-L{spec.n}", spec.n)
-    e = [0.0] * spec.tail
+    """The labels L_n and -L_n, and the fixed factors x_{+-L_n}(-sqrt2 e_j) of h^j in
+    one (2, N, N) array, shared and read-only: they depend on neither the angle nor
+    the variant."""
+    labels = tuple(parse_label(f"{sign}L{spec.n}", spec.n) for sign in ("", "-"))
+    e = np.zeros(spec.tail)
     e[j - 1] = -np.sqrt(2.0)
-    pe = Heis(0.0, e) if spec.unitary else RVec(e)
-    fixed = np.array([_x_matrix(spec, pos, pe), _x_matrix(spec, neg, pe)])
+    fixed = np.array([_x_matrix(spec, r, e) for r in labels])
     fixed.flags.writeable = False
-    return pos, fixed
+    return labels, fixed
 
 
 # where sqrt2 a and sqrt2 b sit in the vector parts of h^j: tail slots j - 1 and j
 _SLOTS = np.array([-1, 0])
-
-
-def _vec_letters(spec: GroupSpec, root: RootLabel, A: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    """x_root(a) and x_{-root}(a) of a vector root for each vector part a in A
-    (D, ..., m-n), with central entries a0 (D, ...): the 2D distinct letters, each
-    for a stack of words, as one (2, D, ..., N, N) array.  Entry for entry they
-    are the letters _letter writes: the identity is added last, and x + 0 and
-    -x + 0 are the 0 + x and 0 - x written there, signed zeros included."""
-    size = spec.size
-    S = np.zeros((2,) + A.shape[:-1] + (size, size), dtype=complex)
-    tail = slice(2 * spec.n, None)
-    col_part = -A.conj()
-    for i, r in enumerate((root, -root)):
-        row, col = r.position[1]
-        S[i, ..., row, tail] = A
-        S[i, ..., tail, col] = col_part
-        S[i, ..., row, col] = a0
-    S += _eye(size)
-    return S
 
 
 def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
@@ -426,7 +393,7 @@ def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
         raise OutOfRange(f"need 1 <= j <= m-n-1 = {spec.tail - 1}, got j={j}")
     a, b = pair[0], pair[1]
     # written so that a NaN in a or b fails it
-    if not (abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9).all():
+    if not (abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= DEFAULT_TOL.rel).all():
         raise NotOnSphere(f"(a, b) must satisfy |a|^2 + |b|^2 = 1, got {ab}")
     if not spec.unitary and pair.dtype.kind == "c":
         raise VariantUnsupported("orthogonal rotations take real (a, b)")
@@ -436,24 +403,25 @@ def h_rot(spec: GroupSpec, j, ab, variant="real") -> np.ndarray:
     frames = [frame[i] for i in planes]
     # the fixed factors, as they are for one word, else gathered into stacks
     fixed = frames[0][1] if js.ndim == 0 else np.array([f[1] for f in frames]).swapaxes(0, 1)
-    Xe, Ye = (fixed[q].reshape(js.shape + (spec.size,) * 2) for q in (0, 1))
+    Xe, Ye = fixed.reshape((2,) + js.shape + (spec.size,) * 2)
     v = np.sqrt(2.0) * pair
     # the vector parts: sqrt2 a at slot j, sqrt2 b at slot j+1 and zeros of either
-    # sign elsewhere (the sign of a zero shows in no letter entry)
+    # sign elsewhere (the sign of a zero shows in no letter entry); the letters of
+    # L_n and -L_n at them are written as two stacks, X and Y
     A = _eye(spec.tail)[np.add.outer(_SLOTS, js)] * v[..., None]
     if spec.unitary:
         # the imaginary variant turns sqrt2 b into sqrt2 b i
-        c = A[:1] + A[1:] * np.array([1j if n == "imag" else 1.0 for n in names]
+        A = A[:1] + A[1:] * np.array([1j if n == "imag" else 1.0 for n in names]
                                      ).reshape(js.shape + (1,))
-        # the central entry as _a0 forms it, by one dot product per word
-        a0 = -0.5 * np.array([np.vdot(w, w) for w in c.reshape(-1, spec.tail)]).real
-        L = _vec_letters(spec, frames[0][0], c, a0.reshape(c.shape[:-1]))
-        word = (L[0, 0], L[1, 0], L[0, 0], Xe, Ye, Xe)
+        # the central entry as _x_args forms it, by one dot product per word
+        a0 = -0.5 * np.array([np.vdot(w, w) for w in A.reshape(-1, spec.tail)]).real
+        a0 = a0.reshape(A.shape[:-1])
     else:
         # one nonzero entry per vector part, so its central entry is exactly -v^2/2
-        L = _vec_letters(spec, frames[0][0], A, -0.5 * (v * v))
-        word = (L[0, 0], L[0, 1], L[1, 0], L[1, 1], L[0, 0], L[0, 1], Xe, Ye, Xe)
-    return reduce(matmul, word).reshape(shape)
+        a0 = -0.5 * (v * v)
+    X, Y = [_letter(spec, r, A, a0) for r in frames[0][0]]
+    word = (X[0], Y[0], X[0]) if spec.unitary else (X[0], X[1], Y[0], Y[1], X[0], X[1])
+    return reduce(matmul, word + (Xe, Ye, Xe)).reshape(shape)
 
 
 def rot_from_angle(spec: GroupSpec, j, psi, variant="real") -> np.ndarray:
@@ -483,55 +451,45 @@ class PermDiag:
     def matrix(self) -> np.ndarray:
         D = np.diag(np.asarray(self.diag, dtype=complex))
         if self.block is not None:
-            k = self.block.shape[0]
-            D[2 * self.n:2 * self.n + k, 2 * self.n:2 * self.n + k] = self.block
+            D[2 * self.n:, 2 * self.n:] = self.block
         P = np.zeros((self.size, self.size), dtype=complex)
-        for src in range(1, self.size + 1):
-            P[self.perm[src - 1] - 1, src - 1] = 1.0
+        P[np.subtract(self.perm, 1), np.arange(self.size)] = 1.0
         return P @ D
-
-
-def _swap_perm(size: int, swaps) -> tuple:
-    perm = list(range(1, size + 1))
-    for a, b in swaps:
-        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
-    return tuple(perm)
 
 
 def w_closed_form(spec: GroupSpec, root: RootLabel, p) -> PermDiag:
     """The permutation-diagonal form of the chain element, read off the letter
     values of its leading factor."""
-    check_param(spec, root, p)
-    x0, y0, _ = _chain_values(spec, root, *_raw(p))
+    x0, y0, _ = _chain_values(spec, root, None, p=p)
     if max(root.coeffs) <= 0:
         # w_root(p) = w_{-root}(y0), with y0 the middle factor of the chain w_root(p)
         root, x0 = -root, y0
     n, size = spec.n, spec.size
     kind, (row, col) = root.position
     diag = [1.0 + 0j] * size
-    swaps = [(row + 1, col + 1)]
+    perm = list(range(1, size + 1))   # 1-based: the stencil's entries swap
+    perm[row], perm[col] = perm[col], perm[row]
     v = x0[0]   # the leading factor's value
+    block = None
     if kind == "pm":
         mrow, mcol = root.mirror
-        swaps.append((mrow + 1, mcol + 1))
+        perm[mrow], perm[mcol] = perm[mcol], perm[mrow]
         diag[row] = -1.0 / v
         diag[col] = v
         diag[mcol] = -np.conj(v)
         diag[mrow] = 1.0 / np.conj(v)
-        return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
-    if kind == "long":  # unitary long root 2L_i
+    elif kind == "long":  # unitary long root 2L_i
         diag[row] = 1j / v
         diag[col] = 1j * v
-        return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), None)
-    if not spec.unitary:
+    elif not spec.unitary:
         a = np.ascontiguousarray(v.real)
         na2 = float(a @ a)
         diag[row] = -2.0 / na2
         diag[col] = -na2 / 2.0
         block = np.eye(spec.tail, dtype=complex) - 2.0 * np.outer(a, a) / na2
-        return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)
-    a0 = x0[1]
-    diag[row] = 1.0 / np.conj(a0)
-    diag[col] = a0
-    block = np.eye(spec.tail, dtype=complex) + np.outer(np.conj(v), v) / a0
-    return PermDiag(size, n, _swap_perm(size, swaps), tuple(diag), block)
+    else:
+        a0 = x0[1]
+        diag[row] = 1.0 / np.conj(a0)
+        diag[col] = a0
+        block = np.eye(spec.tail, dtype=complex) + np.outer(np.conj(v), v) / a0
+    return PermDiag(size, n, tuple(perm), tuple(diag), block)

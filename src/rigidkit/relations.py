@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideConditionViolated,
                      UnknownSuite)
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpotent_log
-from .generators import (Cx, Heis, RVec, Scalar, _letter_inverse, _x_matrix, h_rot, heis_read,
-                         param_add, param_to_json, w_matrix, x_elem)
+from .generators import (Cx, Heis, RVec, Scalar, _letter_inverse, _param, _read_letter, _x_matrix,
+                         h_rot, param_add, param_to_json, w_matrix, x_elem)
 from .rootsystem import RootLabel, parse_label, root_index, roots
 from .words import plane_words, staircase_rows, su2_euler
 
@@ -190,21 +190,6 @@ class CommutatorTable:
                 "terms": [{"root": str(q), "param": param_to_json(par)} for q, par in self.terms]}
 
 
-def _extract_term(spec: GroupSpec, q: RootLabel, X: np.ndarray, has_double: bool):
-    """Read the group parameter of the q-component off the nilpotent log."""
-    kind, pos = q.position
-    if kind == "pm":
-        v = X[pos]
-        return Cx(complex(v)) if spec.unitary else Scalar(float(v.real))
-    if kind == "long":
-        return Scalar(float(X[pos].imag))
-    par = heis_read(spec, q, X)
-    if not spec.unitary:
-        return RVec(tuple(x.real for x in par.a))
-    # the doubled root, when present as a term, absorbs the central part
-    return Heis(0.0, par.a) if has_double else par
-
-
 def anti_proportional(r: RootLabel, p: RootLabel) -> bool:
     """True when r = -c*p for some c > 0 (opposite root group directions).
 
@@ -270,8 +255,13 @@ def commutator_decompose(spec: GroupSpec, r: RootLabel, a, p: RootLabel, b,
     plan = _term_plan(root_index, spec.family, spec.m, spec.n, r.coeffs, p.coeffs)
     if plan:
         X = nilpotent_log(C, tol)
-        terms = tuple([(q, _extract_term(spec, q, X, has_double)) for q, has_double in plan])
-        P = reduce(matmul, [_x_matrix(spec, q, par) for q, par in terms])
+        raw = []
+        for q, has_double in plan:
+            value, t = _read_letter(spec, q, X)
+            # the doubled root, when present as a term, absorbs the central part
+            raw.append((q, value, 0.0 if has_double else t))
+        P = reduce(matmul, [_x_matrix(spec, q, value, t) for q, value, t in raw])
+        terms = tuple([(q, _param(spec, q, value, t)) for q, value, t in raw])
     else:   # with no term the product is the identity: the commutator must be trivial
         terms, P = (), _eye(spec.size)
     resid = tol.residual(P, C)

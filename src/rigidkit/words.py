@@ -22,8 +22,8 @@ import numpy as np
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
 from .matrixcore import (DEFAULT_TOL, GroupSpec, _eye, _frobenius, identity, json_field,
                          json_loads)
-from .generators import (Heis, check_param, is_zero_param, param_add, param_from_json,
-                         param_to_json, rot_from_angle)
+from .generators import (ZERO_PARAM_EPS, check_param, param_add, param_from_json, param_to_json,
+                         rot_from_angle)
 from .rootsystem import RootLabel, parse_root
 
 
@@ -43,8 +43,9 @@ def free_reduce(spec: GroupSpec, word) -> list:
 
     Adjacent letters with the same root, identical parameter and opposite
     exponents cancel; adjacent +1 letters on the same root merge through
-    parameter addition (scalar and vector shapes only), and a merged
-    parameter is checked like a loaded one.  Evaluation is unchanged.
+    parameter addition (scalar and vector shapes only).  Every parameter is
+    checked like a loaded one, and a zero one is one of norm at most
+    ZERO_PARAM_EPS.  Evaluation is unchanged.
     """
     letters = list(word)
     changed = True
@@ -52,7 +53,7 @@ def free_reduce(spec: GroupSpec, word) -> list:
         changed = False
         out = []
         for letter in letters:
-            if is_zero_param(letter.param):
+            if check_param(spec, letter.root, letter.param)[2] <= ZERO_PARAM_EPS:
                 changed = True
                 continue
             if out:
@@ -63,11 +64,10 @@ def free_reduce(spec: GroupSpec, word) -> list:
                     changed = True
                     continue
                 if (prev.root == letter.root and prev.exponent == 1 == letter.exponent
-                        and not isinstance(letter.param, Heis)):
+                        and not (spec.unitary and letter.root.kind == "vec")):
                     merged = param_add(spec, letter.root, prev.param, letter.param)
-                    check_param(spec, letter.root, merged)
                     out.pop()
-                    if not is_zero_param(merged):
+                    if check_param(spec, letter.root, merged)[2] > ZERO_PARAM_EPS:
                         out.append(Letter(letter.root, merged, 1))
                     changed = True
                     continue

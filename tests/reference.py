@@ -211,7 +211,8 @@ def generic_plane_pairwise(spec: GroupSpec, v1, v2) -> GenericPlaneReport:
 def negate_opposite_factors(monkeypatch):
     """x_alpha(p) is built as x_alpha(-p) for every negative root alpha, one
     letter at a time or a stack of them."""
-    # every one-root letter, chain factors included, is written by _letter
+    # every one-root letter, chain factors and rotation letters included, is written
+    # by _letter
     letter = generators._letter
 
     def wrong(spec, root, value, a0=0j):
@@ -219,14 +220,6 @@ def negate_opposite_factors(monkeypatch):
             value, a0 = -value, a0.conjugate()
         return letter(spec, root, value, a0)
     monkeypatch.setattr(generators, "_letter", wrong)
-    # h_rot writes the letters of L_n and -L_n for a stack of words at once
-    letters = generators._vec_letters
-
-    def wrong_letters(spec, root, A, a0):
-        S = letters(spec, root, A, a0)
-        S[1] = letters(spec, root, -A, a0)[1]
-        return S
-    monkeypatch.setattr(generators, "_vec_letters", wrong_letters)
     # h_rot's fixed factors come from a cache: the patched run fills a fresh one,
     # which goes with the patch, so neither run sees the other's factors
     monkeypatch.setattr(generators, "_rot_frame",

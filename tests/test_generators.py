@@ -5,12 +5,11 @@ from rigidkit.errors import (NotOnSphere, OutOfRange, ShapeMismatch, VariantUnsu
                              ZeroParameter)
 from rigidkit.matrixcore import (DEFAULT_TOL, MAX_SIZE, GroupSpec, basis_matrix, identity,
                                  in_group, nilpotent_log)
-from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, h_rot,
-                                 heis_compose, heis_read, param_add, param_from_json,
-                                 param_to_json, reflection, w_closed_form,
-                                 w_elem, w_matrix, x_elem)
+from rigidkit.generators import (PARAM_MAX, Cx, Heis, RVec, Scalar, _param, _read_letter,
+                                 check_param, h_rot, param_add, param_from_json, param_to_json,
+                                 reflection, w_closed_form, w_elem, w_matrix, x_elem)
 from rigidkit.rootsystem import RootLabel, mirror_position, parse_root, root_space_basis, roots
-from rigidkit.relations import _Words, _extract_term, rand_param, rng_for
+from rigidkit.relations import _Words, rand_param, rng_for
 from rigidkit import generators, matrixcore
 
 from reference import (exp_nilpotent, param_neg, verbatim_chain, verbatim_chain_params,
@@ -114,10 +113,33 @@ def test_x_shape_mismatch():
 ], ids=["scalar-inf", "scalar-nan", "cx-inf", "long-inf", "rvec-nan", "heis-t-inf", "heis-a-nan",
         "scalar-huge", "rvec-norm-overflows", "cx-huge", "long-huge", "heis-norm-huge"])
 def test_non_finite_parameter_rejected(spec, root, p):
+    # one check, so one message, whichever builder takes the parameter
     label = parse_root(root, spec)
+    messages = set()
     for build in (x_elem, w_matrix, w_elem, w_closed_form):
-        with pytest.raises(OutOfRange, match="finite"):
+        with pytest.raises(OutOfRange, match="finite") as err:
             build(spec, label, p)
+        messages.add(str(err.value))
+    assert messages == {f"parameter of root {label} must be finite with norm at most "
+                        f"{PARAM_MAX:.3g}, got {p}"}
+
+
+@pytest.mark.parametrize("spec, root, p, message", [
+    (SO43, "L1-L2", Cx(1j), "root L1-L2 of SO+(4,3) takes Scalar, got Cx"),
+    (SO53, "-L3", Heis(0.0, (1.0, 0.0)), "root -L3 of SO+(5,3) takes RVec, got Heis"),
+    (SU43, "L1+L2", Scalar(1.0), "root L1+L2 of SU(4,3) takes Cx, got Scalar"),
+    (SU43, "2L3", Cx(1.0), "root 2L3 of SU(4,3) takes Scalar, got Cx"),
+    (SU43, "L3", RVec((1.0,)), "root L3 of SU(4,3) takes Heis, got RVec"),
+    (SO43, "L1-L2", "junk", "root L1-L2 of SO+(4,3) takes Scalar, got str")],
+    ids=["so-pm", "so-vec", "su-pm", "su-long", "su-vec", "not-a-parameter"])
+def test_wrong_parameter_class_is_named(spec, root, p, message):
+    # the class PARAM_CLASS gives each (family, root kind), named as it always was;
+    # w_matrix reads anything but a parameter object as a raw value
+    label = parse_root(root, spec)
+    for build in (x_elem, w_elem, w_closed_form) + ((w_matrix,) if hasattr(p, "raw") else ()):
+        with pytest.raises(ShapeMismatch) as err:
+            build(spec, label, p)
+        assert str(err.value) == message
 
 
 def _bound_cases():
@@ -195,6 +217,24 @@ def test_letter_inverse_is_the_negated_letter_byte_for_byte():
     assert count > 4000
 
 
+@pytest.mark.parametrize("spec", ACCEPTANCE + [GroupSpec("su", 7, 3)], ids=str)
+def test_letter_stack_is_the_one_letter_calls(spec):
+    # _letter writes a stack of any leading shape, here (W,) and (2, W/2), byte for
+    # byte its one-letter calls: zeros of either sign in every part, and draws
+    rng = np.random.default_rng(27)
+    for info in roots(spec):
+        root = info.label
+        params = _signed_zero_params(spec, root) + [rand_param(spec, root, rng) for _ in range(6)]
+        args = [generators._x_args(spec, root.kind, *check_param(spec, root, p)[:2])
+                for p in params[:len(params) // 2 * 2]]
+        singles = [generators._letter(spec, root, *a).tobytes() for a in args]
+        columns = [np.array(c) for c in zip(*args)]
+        for lead in ((len(args),), (2, len(args) // 2)):
+            S = generators._letter(spec, root, *(c.reshape(lead + c.shape[1:]) for c in columns))
+            assert S.shape == lead + (spec.size,) * 2
+            assert [M.tobytes() for M in S.reshape((-1,) + S.shape[-2:])] == singles, (root, lead)
+
+
 def test_heis_readback_and_composition_law():
     # every unitary vector root of every acceptance spec, both signs
     rng = np.random.default_rng(13)
@@ -205,8 +245,8 @@ def test_heis_readback_and_composition_law():
         for _ in range(20):
             p = rand_param(spec, root, rng)
             q = rand_param(spec, root, rng)
-            assert heis_read(spec, root, x_elem(spec, root, p)) == p
-            comp = heis_compose(spec, root, p, q)
+            assert _param(spec, root, *_read_letter(spec, root, x_elem(spec, root, p))) == p
+            comp = param_add(spec, root, p, q)
             # vector parts add; the central part picks up -Im<a, b>
             assert np.allclose(comp.a, np.add(p.a, q.a))
             corr = float(np.imag(np.vdot(np.asarray(q.a), np.asarray(p.a))))
@@ -228,11 +268,11 @@ def _flat(p):
 @pytest.mark.parametrize("spec, root", ACCEPTANCE_ROOTS,
                          ids=[f"{spec}-{root}" for spec, root in ACCEPTANCE_ROOTS])
 def test_stencil_round_trip(spec, root):
-    # x_elem writes through the stencil, _extract_term reads back off the log
+    # x_elem writes through the stencil, _read_letter reads back off the log
     rng = np.random.default_rng(17)
     for _ in range(5):
         p = rand_param(spec, root, rng)
-        got = _extract_term(spec, root, nilpotent_log(x_elem(spec, root, p)), False)
+        got = _param(spec, root, *_read_letter(spec, root, nilpotent_log(x_elem(spec, root, p))))
         assert type(got) is type(p)
         assert np.allclose(_flat(got), _flat(p), rtol=0, atol=1e-12)
     # the basis sits exactly at the stencil's entries and their mirrors, and
@@ -331,22 +371,18 @@ def test_h_rot_identity_cases():
 
 
 def _count_builds(monkeypatch):
-    """Count the letter builds: one per generators._letter call, and 2 len(A) per
-    generators._vec_letters(spec, root, A, a0) call, which builds the len(A)
-    distinct letters of root and of -root, each for a whole stack of words; the
-    returned list grows by one per build."""
+    """Count the letters generators._letter writes: one for a one-letter call, and
+    one per letter of a stack, whose leading shape is the value's less a vector
+    part's axis; the returned list grows by one per letter."""
     calls = []
-    build, letters = generators._letter, generators._vec_letters
+    build = generators._letter
 
-    def counted(spec, root, *values):
-        calls.append(root)
-        return build(spec, root, *values)
-
-    def counted_letters(spec, root, A, a0):
-        calls.extend([root, -root] * len(A))
-        return letters(spec, root, A, a0)
+    def counted(spec, root, value, *a0):
+        shape = np.shape(value)
+        stack = shape[:-1] if root.kind == "vec" else shape
+        calls.extend([root] * int(np.prod(stack, dtype=int)))
+        return build(spec, root, value, *a0)
     monkeypatch.setattr(generators, "_letter", counted)
-    monkeypatch.setattr(generators, "_vec_letters", counted_letters)
     return calls
 
 
@@ -369,6 +405,11 @@ def test_chain_builds_each_distinct_factor_once(monkeypatch):
         assert np.array_equal(w, X0 @ Y0 @ X1)
 
 
+def _norm(p):
+    value, t = p.raw
+    return np.hypot(t, np.linalg.norm(value))
+
+
 def _chain_cases():
     """(spec, root, p): 20 rand_param draws for every root of the acceptance specs, one
     draw each rescaled to norm 1e-3 and 1e3, the Heisenberg branches a = 0, t = 0 and
@@ -380,7 +421,7 @@ def _chain_cases():
         cases += [(spec, root, p) for p in draws]
         p = draws[0]
         for norm in (1e-3, 1e3):
-            s = norm / generators.param_norm(p)
+            s = norm / _norm(p)
             q = (Scalar(p.t * s) if isinstance(p, Scalar) else Cx(p.z * s)
                  if isinstance(p, Cx) else RVec([x * s for x in p.a])
                  if isinstance(p, RVec) else Heis(p.t * s, [x * s for x in p.a]))
@@ -420,10 +461,10 @@ def _stack_cases():
     cases = []
     for spec, root in ACCEPTANCE_ROOTS:
         draws = [rand_param(spec, root, rng, invertible=True) for _ in range(20)]
-        raws = [generators._raw(p) for p in draws]
+        raws = [p.raw for p in draws]
         cases += [(spec, root, raws), (spec, root, raws[:1])]
         for norm in (1e-3, 1e3):
-            scale = [norm / generators.param_norm(p) for p in draws]
+            scale = [norm / _norm(p) for p in draws]
             cases.append((spec, root, [(np.multiply(v, s), t * s) for (v, t), s in zip(raws, scale)]))
         if root.kind == "vec":
             a, t = np.array(raws[0][0]), raws[0][1]

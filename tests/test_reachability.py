@@ -2,8 +2,8 @@
 acceptance criterion.
 
 The runs of tools/report_set.py go through ``cli.main`` in-process at five
-samples (at two, ``heis_compose`` is never reached), and one more verify-all
-runs under the negative control for the failure paths.  A function, method,
+samples (at two, the Heisenberg branch of ``param_add`` is never reached), and
+one more verify-all runs under the negative control for the failure paths.  A function, method,
 lambda or comprehension of src/rigidkit/*.py that none of them enters fails the
 test, unless EXEMPT names it or the function it is written in.
 """
@@ -29,7 +29,6 @@ PACKAGE = pathlib.Path(rigidkit.__file__).resolve().parent
 EXEMPT = {
     "generators.w_closed_form": ("criterion 3", "w_closed_form"),
     "generators.PermDiag.matrix": ("criterion 3", "w_closed_form"),
-    "generators._swap_perm": ("criterion 3", "w_closed_form"),
     "lyapunov.bracket_generation_check": ("criterion 8", "bracket_generation_check"),
     "lyapunov._rank_of_span": ("criterion 8", "bracket_generation_check"),
     "matrixcore.bracket": ("criterion 8", "bracket_generation_check"),

@@ -2,14 +2,18 @@
 
 Usage: python3 tools/kernel_matrix.py OUTDIR
 
-The settings are OPENBLAS_CORETYPE in {SkylakeX, Haswell, Prescott} crossed
-with NPY_DISABLE_CPU_FEATURES unset (numpy's best level on the host) or set to
-"AVX512_SPR AVX512_ICL X86_V4" (X86_V3 on an AVX-512 host).  For each, the
+The settings are OPENBLAS_CORETYPE in {SkylakeX, Haswell, Nehalem} (AVX-512,
+AVX2, no AVX) crossed with NPY_DISABLE_CPU_FEATURES unset (numpy's best level on
+the host) or set to "AVX512_SPR AVX512_ICL X86_V4" (X86_V3 on an AVX-512 host).  For each, the
 report set of this checkout (tools/report_set.py beside this script) is
 written into OUTDIR/<setting>/, and the machine facts of a child with the
 same environment (tools/bench_pairs.py's probe: the OpenBLAS core and numpy's
-SIMD extensions in force) into OUTDIR/<setting>.machine.json.  Only the
-children get the setting; this process's environment is left as it is.
+SIMD extensions in force) into OUTDIR/<setting>.machine.json.  OpenBLAS falls
+back to another core for a name it does not take (Prescott, Core2 and Penryn run
+Katmai kernels), so a child that reports another core than its setting requests
+stops the tool with a nonzero exit and a line naming the setting, before that
+setting's report set is written.  Only the children get the setting; this
+process's environment is left as it is.
 Two checkouts, run on one host, agree when ``diff -r`` of their OUTDIRs is
 empty.
 """
@@ -19,7 +23,7 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, TOOLS)
 from bench_pairs import MACHINE_PROBE  # noqa: E402
 
-CORES = ("SkylakeX", "Haswell", "Prescott")
+CORES = ("SkylakeX", "Haswell", "Nehalem")
 # numpy's dispatch levels: unset, or with the AVX-512 groups disabled
 SIMD = {"simd-default": None, "simd-noavx512": "AVX512_SPR AVX512_ICL X86_V4"}
 
@@ -40,15 +44,28 @@ def child_env(entries: dict) -> dict:
     return env
 
 
+def core_mismatch(name: str, entries: dict, facts: dict):
+    """The error line for a child whose OpenBLAS core is not the one its setting
+    requests, else None."""
+    want, got = entries["OPENBLAS_CORETYPE"], facts.get("openblas_core")
+    if str(got).lower() != want.lower():
+        return (f"kernel_matrix: setting {name} requests OPENBLAS_CORETYPE={want}, "
+                f"the child runs {got}")
+    return None
+
+
 def main(out):
     os.makedirs(out, exist_ok=True)
     for name, entries in settings():
         env = child_env(entries)
-        facts = subprocess.run([sys.executable, "-c", MACHINE_PROBE], env=env, check=True,
-                               capture_output=True, text=True).stdout
+        facts = json.loads(subprocess.run([sys.executable, "-c", MACHINE_PROBE], env=env,
+                                          check=True, capture_output=True, text=True).stdout)
         with open(os.path.join(out, f"{name}.machine.json"), "w") as fh:
-            json.dump(json.loads(facts), fh, indent=1)
+            json.dump(facts, fh, indent=1)
             fh.write("\n")
+        error = core_mismatch(name, entries, facts)
+        if error:
+            sys.exit(error)
         subprocess.run([sys.executable, os.path.join(TOOLS, "report_set.py"),
                         os.path.join(out, name)], env=env, check=True)
         print(f"kernel_matrix: {name} done", file=sys.stderr)
