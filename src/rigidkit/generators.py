@@ -78,6 +78,9 @@ class Heis:
 #   su  ±L_i      Heis(t, a)   t real, a in C^{m-n}
 PARAM_CLASS = {("so", "pm"): Scalar, ("so", "vec"): RVec, ("su", "pm"): Cx,
                ("su", "long"): Scalar, ("su", "vec"): Heis}
+# the Python and numpy numbers a raw scalar may be; a vector part is a 1-D array of numbers
+_REAL = (float, int, np.floating, np.integer)
+_COMPLEX = _REAL + (complex, np.complexfloating)
 
 
 def _param(spec: GroupSpec, root: RootLabel, value, t=0.0):
@@ -89,25 +92,34 @@ def _param(spec: GroupSpec, root: RootLabel, value, t=0.0):
 def check_param(spec: GroupSpec, root: RootLabel, p=None, value=None, t=0.0) -> tuple:
     """The one check of a parameter of root, the object p or, without one, the raw
     (value, t): the root; p's class, which must be the one PARAM_CLASS gives the root,
-    and then its raw (value, t); the vector length; a finite norm of at most PARAM_MAX.
+    and then its raw (value, t); the raw value's type; the vector length; a finite norm
+    of at most PARAM_MAX.
     Returns (v, t, norm), v the value the letters are computed from: a complex z, a
     real t, or the vector part as a contiguous complex (unitary) or real (orthogonal)
     array."""
     if not is_root(spec, root):
         raise UnknownRoot(f"{root} is not a root of {spec}")
+    want = PARAM_CLASS[spec.family, root.kind]
     if p is not None:
-        want = PARAM_CLASS[spec.family, root.kind]
         if not isinstance(p, want):
             raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, "
                                 f"got {type(p).__name__}")
         value, t = p.raw
     kind, unitary = root.kind, spec.unitary
     if kind != "vec":
-        v = complex(value) if kind == "pm" and unitary else float(value)
+        cx = kind == "pm" and unitary
+        if not isinstance(value, _COMPLEX if cx else _REAL):
+            raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, "
+                                f"got {type(value).__name__}")
+        v = complex(value) if cx else float(value)
         norm = abs(v)
     else:
-        v = (np.ascontiguousarray(value, dtype=complex) if unitary
-             else np.ascontiguousarray(np.asarray(value).real, dtype=float))
+        a = np.asarray(value)
+        if a.ndim != 1 or a.dtype.kind not in "biufc":
+            raise ShapeMismatch(f"root {root} of {spec} takes {want.__name__}, "
+                                f"got {type(value).__name__}")
+        v = (np.ascontiguousarray(a, dtype=complex) if unitary
+             else np.ascontiguousarray(a.real, dtype=float))
         if len(v) != spec.tail:
             raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(v)}")
         norm = math.hypot(t, *map(abs, v.tolist()))   # no square can overflow

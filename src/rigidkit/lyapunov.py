@@ -12,14 +12,13 @@ call, and a returned witness is sign-checked exactly on every cycle root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import UnknownRoot
 from .matrixcore import DEFAULT_TOL, GroupSpec, bracket
-from .rootsystem import cartan_vector, is_root, root_space_basis, roots
+from .rootsystem import cartan_vector, is_root, root_space_basis, root_table, roots
 
 
 def dim_group(spec: GroupSpec) -> int:
@@ -68,17 +67,6 @@ class SplittingReport:
                 "unstable_dim": self.unstable_dim, "neutral_dim": self.neutral_dim}
 
 
-@lru_cache(maxsize=None)
-def _root_table(spec: GroupSpec) -> tuple:
-    """The constants a splitting reads, built once per spec: the read-only
-    float coefficient matrix of the roots and their multiplicities, both in
-    ``roots`` order."""
-    infos = roots(spec)
-    coeffs = np.array([info.label.coeffs for info in infos], dtype=float)
-    coeffs.flags.writeable = False
-    return coeffs, tuple(info.multiplicity for info in infos)
-
-
 def splitting(spec: GroupSpec, t) -> SplittingReport:
     """Count root-space directions by the sign of the exponent at t.
 
@@ -89,11 +77,11 @@ def splitting(spec: GroupSpec, t) -> SplittingReport:
     """
     t = cartan_vector(spec, t)
     wall = DEFAULT_TOL.rel * (1.0 + np.linalg.norm(t))
-    coeffs, mults = _root_table(spec)
+    table = root_table(spec.family, spec.m, spec.n)
     stable, unstable, neutral = 0, 0, zero_multiplicity(spec)
     # every root value has at most two nonzero terms, each an exact product
     # of t_i with 1 or 2, so the one product rounds as each root's own dot
-    for val, mult in zip((coeffs @ t).tolist(), mults):
+    for val, mult in zip((table.coeffs @ t).tolist(), table.mults):
         if val < -wall:
             stable += mult
         elif val > wall:

@@ -31,7 +31,7 @@ from .errors import (DecompositionResidual, NotOnSphere, OppositeRoots, SideCond
 from .matrixcore import DEFAULT_TOL, GroupSpec, Tolerance, _eye, identity, nilpotent_log
 from .generators import (Cx, Heis, RVec, Scalar, _letter_inverse, _param, _read_letter, _x_matrix,
                          h_rot, param_add, param_to_json, w_matrix, x_elem)
-from .rootsystem import RootLabel, parse_label, root_index, roots
+from .rootsystem import RootLabel, parse_label, root_index, root_table
 from .words import plane_words, staircase_rows, su2_euler
 
 INV = np.linalg.inv
@@ -331,14 +331,9 @@ class _Words:
         return M
 
 
-@lru_cache(maxsize=None)
-def _root_labels(spec: GroupSpec) -> tuple:
-    return tuple(info.label for info in roots(spec))
-
-
 def _draw_root(spec, rng):
-    labels = _root_labels(spec)
-    return labels[int(rng.integers(len(labels)))]
+    infos = root_table(spec.family, spec.m, spec.n).infos
+    return infos[int(rng.integers(len(infos)))].label
 
 
 def _inv_scalar(spec, rng):

@@ -4,9 +4,11 @@ Roots are integer coefficient vectors in the dual of the Cartan: L_i - L_j
 and L_i + L_j (multiplicity 1 / 2), L_i when m > n (multiplicity m-n /
 2(m-n)), and 2L_i for the unitary family (multiplicity 1).  Root spaces are
 produced as explicit matrices in the split basis of the invariant form
-(``matrixcore._form_cached``).  Which vectors are roots is answered by one
-index keyed by the coefficient tuple (``root_index``), so a caller doing
-coefficient arithmetic looks its sums up without building a label.
+(``matrixcore._form_cached``).  Each spec's roots are built once, into one
+shared table (``root_table``) that every reader takes them from: the roots in
+order, the index keyed by the coefficient tuple (so a caller doing coefficient
+arithmetic looks its sums up without building a label), the coefficient rows
+and multiplicities, and the hyperplane representatives.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,48 +116,50 @@ class RootInfo:
     multiplicity: int
 
 
-def _unit(n: int, i: int, c: int = 1) -> tuple:
-    v = [0] * n
-    v[i - 1] = c
-    return tuple(v)
+class RootTable(NamedTuple):
+    """The restricted root system of one spec, built once and shared read-only."""
+
+    infos: tuple          # the RootInfo of every root, in ``roots`` order
+    by_coeffs: dict       # coefficient tuple -> RootInfo
+    coeffs: np.ndarray    # the float coefficient rows, in ``roots`` order, read-only
+    mults: tuple          # the multiplicities, in ``roots`` order
+    hyperplanes: tuple    # one RootLabel per Lyapunov hyperplane
 
 
 @lru_cache(maxsize=None)
-def _roots_cached(spec: GroupSpec) -> tuple:
-    n = spec.n
-    mult_pm = 2 if spec.unitary else 1
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = tuple(a - b for a, b in zip(_unit(n, i), _unit(n, j)))
-            tot = tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j)))
-            for c in (diff, tuple(-x for x in diff), tot, tuple(-x for x in tot)):
-                out.append(RootInfo(RootLabel(c), mult_pm))
-    if spec.m > spec.n:
-        mult_vec = 2 * spec.tail if spec.unitary else spec.tail
-        for i in range(1, n + 1):
-            out.append(RootInfo(RootLabel(_unit(n, i)), mult_vec))
-            out.append(RootInfo(RootLabel(_unit(n, i, -1)), mult_vec))
-    if spec.unitary:
-        for i in range(1, n + 1):
-            out.append(RootInfo(RootLabel(_unit(n, i, 2)), 1))
-            out.append(RootInfo(RootLabel(_unit(n, i, -2)), 1))
-    return tuple(out)
+def root_table(family: str, m: int, n: int) -> RootTable:
+    """The root table of the spec (family, m, n), the one per-spec root cache.
+
+    Keyed by the spec's fields, which hash in C, so a lookup never runs
+    ``GroupSpec``'s Python ``__hash__``; the index is keyed by ``label.coeffs``
+    for the same reason, so a lookup never hashes a label.  A hyperplane is
+    represented by the primitive coefficient vector of its first positive root
+    (first nonzero coefficient positive), which merges 2L_i with L_i.
+    """
+    unitary, tail = family == "su", m - n
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]   # L_1, ..., L_n
+    times = lambda s, c: tuple(s * x for x in c)
+    # (coefficient tuple, multiplicity) in roots order: s L_i + u L_j for i < j,
+    # then s L_i when m > n, then s 2L_i for the unitary family
+    shapes = [(times(s, tuple(a + u * b for a, b in zip(e[i], e[j]))), 2 if unitary else 1)
+              for i in range(n) for j in range(i + 1, n) for u in (-1, 1) for s in (1, -1)]
+    if tail:
+        shapes += [(times(s, L), 2 * tail if unitary else tail) for L in e for s in (1, -1)]
+    if unitary:
+        shapes += [(times(s, L), 1) for L in e for s in (2, -2)]
+    infos = tuple(RootInfo(RootLabel(c), mult) for c, mult in shapes)
+    coeffs = np.array([c for c, _ in shapes], dtype=float)
+    coeffs.flags.writeable = False
+    walls = dict.fromkeys(tuple(x // math.gcd(*c) for x in c) for c, _ in shapes
+                          if next(x for x in c if x) > 0)   # positive roots, made primitive
+    return RootTable(infos, {info.label.coeffs: info for info in infos}, coeffs,
+                     tuple(mult for _, mult in shapes), tuple(map(RootLabel, walls)))
 
 
 def root_index(spec: GroupSpec) -> dict:
-    """Coefficient tuple -> RootInfo for every root of ``spec``.
-
-    Keyed by ``label.coeffs``: a tuple of ints hashes in C, so a lookup never
-    runs a label's Python ``__hash__``.  The index itself is cached by the
-    spec's fields for the same reason.  The shared dict must not be mutated.
-    """
-    return _root_index(spec.family, spec.m, spec.n)
-
-
-@lru_cache(maxsize=None)
-def _root_index(family: str, m: int, n: int) -> dict:
-    return {info.label.coeffs: info for info in _roots_cached(GroupSpec(family, m, n))}
+    """Coefficient tuple -> RootInfo for every root of ``spec``, from its root
+    table.  The shared dict must not be mutated."""
+    return root_table(spec.family, spec.m, spec.n).by_coeffs
 
 
 def roots(spec: GroupSpec) -> list:
@@ -163,17 +168,11 @@ def roots(spec: GroupSpec) -> list:
     Order: L_i-L_j and L_j-L_i and L_i+L_j and -L_i-L_j for i<j
     (lexicographic in (i,j)), then ±L_i, then ±2L_i.
     """
-    return list(_roots_cached(spec))
-
-
-def positive_roots(spec: GroupSpec) -> list:
-    """Roots whose first nonzero coefficient is positive, fixed order."""
-    return [info for info in _roots_cached(spec)
-            if info.label.coeffs[info.label.support[0]] > 0]
+    return list(root_table(spec.family, spec.m, spec.n).infos)
 
 
 def is_root(spec: GroupSpec, label: RootLabel) -> bool:
-    return label.coeffs in root_index(spec)
+    return label.coeffs in root_table(spec.family, spec.m, spec.n).by_coeffs
 
 
 def mirror_position(n: int, row: int, col: int) -> tuple:
@@ -277,16 +276,7 @@ def cartan_vector(spec: GroupSpec, t, what: str = "Cartan vector") -> np.ndarray
 
 def hyperplane_representatives(spec: GroupSpec) -> list:
     """One root per Lyapunov hyperplane (mod sign and the 2L_i doubling)."""
-    seen = set()
-    reps = []
-    for info in positive_roots(spec):
-        c = np.array(info.label.coeffs)
-        g = int(np.gcd.reduce(np.abs(c[c != 0])))
-        key = tuple(int(x) for x in c // g)
-        if key not in seen:
-            seen.add(key)
-            reps.append(RootLabel(key))
-    return reps
+    return list(root_table(spec.family, spec.m, spec.n).hyperplanes)
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,27 @@ def test_non_finite_parameter_rejected(spec, root, p):
     (SU43, "L1+L2", Scalar(1.0), "root L1+L2 of SU(4,3) takes Cx, got Scalar"),
     (SU43, "2L3", Cx(1.0), "root 2L3 of SU(4,3) takes Scalar, got Cx"),
     (SU43, "L3", RVec((1.0,)), "root L3 of SU(4,3) takes Heis, got RVec"),
-    (SO43, "L1-L2", "junk", "root L1-L2 of SO+(4,3) takes Scalar, got str")],
-    ids=["so-pm", "so-vec", "su-pm", "su-long", "su-vec", "not-a-parameter"])
+    (SO43, "L1-L2", "junk", "root L1-L2 of SO+(4,3) takes Scalar, got str"),
+    # raw values that are no number (scalar roots) or no 1-D array of numbers (+-L_i)
+    (SO43, "L1-L2", None, "root L1-L2 of SO+(4,3) takes Scalar, got NoneType"),
+    (SO43, "L1-L2", [1.0, 2.0], "root L1-L2 of SO+(4,3) takes Scalar, got list"),
+    (SO43, "L1-L2", 1j, "root L1-L2 of SO+(4,3) takes Scalar, got complex"),
+    (SU43, "2L3", {"t": 1.0}, "root 2L3 of SU(4,3) takes Scalar, got dict"),
+    (SU43, "L1+L2", "1j", "root L1+L2 of SU(4,3) takes Cx, got str"),
+    (SO53, "L3", None, "root L3 of SO+(5,3) takes RVec, got NoneType"),
+    (SO53, "L3", 1.0, "root L3 of SO+(5,3) takes RVec, got float"),
+    (SO53, "L3", "ab", "root L3 of SO+(5,3) takes RVec, got str"),
+    (SU43, "L3", [[1.0]], "root L3 of SU(4,3) takes Heis, got list"),
+    (SU43, "-L3", (1.0, None), "root -L3 of SU(4,3) takes Heis, got tuple")],
+    ids=["so-pm", "so-vec", "su-pm", "su-long", "su-vec", "not-a-parameter", "none-for-scalar",
+         "list-for-scalar", "complex-for-real", "dict-for-scalar", "str-for-complex",
+         "none-for-vector", "float-for-vector", "str-for-vector", "2d-vector", "none-in-vector"])
 def test_wrong_parameter_class_is_named(spec, root, p, message):
     # the class PARAM_CLASS gives each (family, root kind), named as it always was;
-    # w_matrix reads anything but a parameter object as a raw value
+    # w_matrix reads anything but a parameter object as a raw value, and check_param
+    # refuses a raw value of the wrong type with the same message
     label = parse_root(root, spec)
-    for build in (x_elem, w_elem, w_closed_form) + ((w_matrix,) if hasattr(p, "raw") else ()):
+    for build in (x_elem, w_elem, w_closed_form, w_matrix):
         with pytest.raises(ShapeMismatch) as err:
             build(spec, label, p)
         assert str(err.value) == message

@@ -3,9 +3,9 @@ import pytest
 
 from rigidkit.errors import DegeneratePlane, OutOfRange, ParseError, SizeMismatch, UnknownRoot
 from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, basis_matrix, bracket
-from rigidkit.rootsystem import (RootLabel, embed, hyperplane_representatives,
-                                 is_generic_plane, is_root, parse_root,
-                                 root_index, root_space_basis, root_value, roots)
+from rigidkit.rootsystem import (RootInfo, RootLabel, embed, hyperplane_representatives,
+                                 is_generic_plane, is_root, parse_root, root_index,
+                                 root_space_basis, root_table, root_value, roots)
 from rigidkit.lyapunov import dim_group, splitting, zero_multiplicity
 
 from reference import generic_plane_pairwise
@@ -50,6 +50,28 @@ def test_root_index_keyed_by_coefficients():
         assert all(c == info.label.coeffs for c, info in index.items())
         bad = RootLabel((1, 1, 1) + (0,) * (spec.n - 3))
         assert bad.coeffs not in index and not is_root(spec, bad)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("so", 5, 3), GroupSpec("su", 4, 4)], ids=str)
+def test_root_table_is_shared_and_read_only(spec):
+    # equal specs get the one table, which the readers copy out of or read through
+    table = root_table(spec.family, spec.m, spec.n)
+    twin = GroupSpec(spec.family, spec.m, spec.n)
+    assert twin is not spec and root_table(twin.family, twin.m, twin.n) is table
+    assert root_index(twin) is root_index(spec) is table.by_coeffs
+    with pytest.raises(ValueError):
+        table.coeffs[0, 0] = 5.0
+    t = np.random.default_rng(3).standard_normal(spec.n)
+    first, index = roots(spec), dict(root_index(spec))
+    reps, split = hyperplane_representatives(spec), splitting(spec, t)
+    extra = RootInfo(RootLabel((1, 1, 1) + (0,) * (spec.n - 3)), 7)
+    for fresh in (roots(spec), hyperplane_representatives(spec)):
+        fresh.reverse()
+        fresh.append(extra)
+    assert roots(spec) == first and hyperplane_representatives(spec) == reps
+    assert root_index(spec) == index and not is_root(spec, extra.label)
+    assert all(is_root(spec, info.label) for info in first)
+    assert splitting(spec, t) == split
 
 
 def test_basis_so43_diff():

@@ -12,14 +12,20 @@ SIMD extensions in force) into OUTDIR/<setting>.machine.json.  OpenBLAS falls
 back to another core for a name it does not take (Prescott, Core2 and Penryn run
 Katmai kernels), so a child that reports another core than its setting requests
 stops the tool with a nonzero exit and a line naming the setting, before that
-setting's report set is written.  Only the children get the setting; this
-process's environment is left as it is.
+setting's report set is written.  Then the three golden tests
+(``tests/test_relations.py -k golden``) run in a child with the setting's
+environment, and each test's id and PASSED or FAILED, with no timings, go into
+OUTDIR/<setting>.golden.txt.  A golden failure is recorded, not fatal (without
+AVX-512 two goldens are known to fail); a pytest run that reports no golden
+test stops the tool.  Only the children get the setting; this process's
+environment is left as it is.
 Two checkouts, run on one host, agree when ``diff -r`` of their OUTDIRs is
 empty.
 """
-import json, os, subprocess, sys
+import json, os, re, subprocess, sys
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TOOLS)
 sys.path.insert(0, TOOLS)
 from bench_pairs import MACHINE_PROBE  # noqa: E402
 
@@ -54,6 +60,19 @@ def core_mismatch(name: str, entries: dict, facts: dict):
     return None
 
 
+GOLDEN = ["-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", "tests/test_relations.py",
+          "-k", "golden"]
+# a line of pytest's -rA short summary: the outcome, then the test id
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.M)
+
+
+def golden_results(stdout: str) -> str:
+    """Each test's id and outcome, one a line in id order, read off pytest's -rA
+    short summary in ``stdout``."""
+    summary = stdout.partition(" short test summary info ")[2]
+    return "".join(sorted(f"{test} {outcome}\n" for outcome, test in _OUTCOME.findall(summary)))
+
+
 def main(out):
     os.makedirs(out, exist_ok=True)
     for name, entries in settings():
@@ -68,6 +87,14 @@ def main(out):
             sys.exit(error)
         subprocess.run([sys.executable, os.path.join(TOOLS, "report_set.py"),
                         os.path.join(out, name)], env=env, check=True)
+        golden = subprocess.run([sys.executable, *GOLDEN], env=env, cwd=ROOT,
+                                capture_output=True, text=True)
+        results = golden_results(golden.stdout)
+        if not results:
+            sys.exit(f"kernel_matrix: setting {name} ran no golden test "
+                     f"(pytest exit {golden.returncode})")
+        with open(os.path.join(out, f"{name}.golden.txt"), "w") as fh:
+            fh.write(results)
         print(f"kernel_matrix: {name} done", file=sys.stderr)
 
 
