@@ -1,9 +1,11 @@
-"""Batch command-line front end.
+"""Batch command-line front end: one table of subcommands.
 
-Subcommands: roots, chain, verify, verify-all, lyapunov, stable-cycle,
-genplane, normalform, reduce, trace-pairing.  Exit codes: 0 on success or
-pass, 1 on verification failure, 2 on usage or side-condition errors.
-JSON output is the stable machine surface; text output is human-oriented.
+Each subcommand is declared once, in ``build_parser``'s table: its name, help
+line, handler, own options and the shared options it takes.  A handler returns
+(JSON object, text lines, passed); ``main`` alone prints (the JSON object
+with --json, else the lines) and picks the exit code: 0 on success or pass,
+1 on verification failure, 2 on usage or side-condition errors.  JSON output
+is the stable machine surface; text output is human-oriented.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import sys
 import time
 
 from .errors import ParseError, RigidkitError
-from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, json_loads, load_matrix
+from .matrixcore import DEFAULT_TOL, MAX_SIZE, GroupSpec, Tolerance, json_loads, mat_from_json
 from .rootsystem import is_generic_plane, parse_root, roots
 from .generators import param_from_json, w_elem
 from .relations import run_suite, suite_ids, verify_all
-from .words import load_word, staircase_decompose, word_to_json, free_reduce
+from .words import free_reduce, staircase_decompose, word_from_json, word_to_json
 from .lyapunov import CycleSpec, exponent_table, splitting, stable_cycle_feasible
 
 # normalform reads its k x k block as the compact tail of SO+(3+k, 3) / SU(3+k, 3)
@@ -92,99 +94,6 @@ def _tolerance(text: str) -> Tolerance:
             f"tolerance must be an ASCII decimal number above 0 and below 1, got {text!r}")
 
 
-def _add_spec_args(p):
-    p.add_argument("--family", choices=("so", "su"), default="so")
-    p.add_argument("--m", type=_number(int), default=4)
-    p.add_argument("--n", type=_number(int), default=3)
-
-
-def _add_run_args(p):
-    p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=_int_at_least(0), default=42)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--json", action="store_true")
-
-
-def _add_timings_arg(p):
-    p.add_argument("--timings", action="store_true",
-                   help="print each suite's wall time on stderr; stdout is unchanged")
-
-
-def _spec_from(args) -> GroupSpec:
-    return GroupSpec(args.family, args.m, args.n)
-
-
-def _emit(args, obj, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(obj))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="rigidkit",
-                 description="Matrix constructions and relation checks for SO+(m,n) and "
-                             "SU(m,n); an option value may begin with '-' (--root -L2)")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="list the restricted roots with multiplicities")
-    _add_spec_args(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("chain", help="chain element certificate for one root")
-    _add_spec_args(p)
-    p.add_argument("--root", required=True, help='root name, e.g. "L1-L2"')
-    p.add_argument("--param", required=True,
-                   help='parameter JSON: {"t": x} | {"z": [re,im]} | {"a": [..]} | {"t": x, "a": [[re,im],..]}')
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="run one relation suite")
-    _add_spec_args(p)
-    p.add_argument("--suite", required=True, choices=suite_ids())
-    _add_run_args(p)
-    _add_timings_arg(p)
-
-    p = sub.add_parser("verify-all", help="run every applicable suite")
-    _add_spec_args(p)
-    _add_run_args(p)
-    _add_timings_arg(p)
-
-    p = sub.add_parser("lyapunov", help="exponent table and splitting at a Cartan vector")
-    _add_spec_args(p)
-    p.add_argument("--t", required=True, help="comma-separated Cartan vector, e.g. 3,2,1")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("stable-cycle", help="strict feasibility of a stable cycle")
-    _add_spec_args(p)
-    p.add_argument("--roots", required=True, help='comma-separated roots, e.g. "L1-L2,L2-L3,L1"')
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("genplane", help="genericity of a 2-plane in the Cartan")
-    _add_spec_args(p)
-    p.add_argument("--v1", required=True, help="comma-separated vector")
-    p.add_argument("--v2", required=True, help="comma-separated vector")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("normalform", help="staircase normal form of a tail-block matrix")
-    p.add_argument("--family", choices=("so", "su"), default="so")
-    p.add_argument("--k", type=_int_at_least(2, MAX_SIZE - 2 * _NORMALFORM_N), required=True,
-                   help="tail size m-n")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("reduce", help="freely reduce a word")
-    _add_spec_args(p)
-    p.add_argument("--word", required=True, help="word JSON file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("trace-pairing", help="trace pairing identity on random sphere pairs")
-    p.add_argument("--m", type=_number(int), default=4)
-    p.add_argument("--n", type=_number(int), default=3)
-    _add_run_args(p)
-    return ap
-
-
 def _vector(text: str) -> list:
     entries = text.split(",")
     if not all(x.strip() for x in entries):
@@ -192,42 +101,44 @@ def _vector(text: str) -> list:
     return [_number(float)(x) for x in entries]
 
 
-def _cmd_roots(args) -> int:
-    spec = _spec_from(args)
+def _json_file(path: str):
+    """The document of a JSON input file, decoded strictly by json_loads."""
+    with open(path) as fh:
+        return json_loads(fh.read())
+
+
+def _cmd_roots(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     table = [{"root": str(info.label), "multiplicity": info.multiplicity}
              for info in roots(spec)]
-    _emit(args, table, [f"{spec}: {len(table)} roots"]
-          + [f"  {row['root']:>8}  multiplicity {row['multiplicity']}" for row in table])
-    return 0
+    lines = [f"{spec}: {len(table)} roots"]
+    lines += [f"  {row['root']:>8}  multiplicity {row['multiplicity']}" for row in table]
+    return table, lines, True
 
 
-def _cmd_chain(args) -> int:
-    spec = _spec_from(args)
+def _cmd_chain(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     root = parse_root(args.root, spec)
     param = param_from_json(json_loads(args.param))
     cert = w_elem(spec, root, param)
-    obj = cert.to_json()
     lines = [f"chain element for {root} of {spec}",
              f"  reflection check: {'pass' if cert.reflection_checked else 'FAIL'}"]
-    _emit(args, obj, lines)
-    return 0 if cert.reflection_checked else 1
+    return cert.to_json(), lines, cert.reflection_checked
 
 
-def _cmd_verify(args) -> int:
-    spec = _spec_from(args)
+def _cmd_verify(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     start = time.perf_counter()
     report = run_suite(spec, args.suite, args.samples, args.seed, args.tol)
     if args.timings:   # on stderr, so that stdout and --json stay as they are
         print(f"time {args.suite}: {time.perf_counter() - start:.4f} s", file=sys.stderr)
-    obj = report.to_json()
     lines = [f"suite {args.suite} on {spec}: {'pass' if report.passed else 'FAIL'} "
              f"(max residual {report.max_residual:.3e}, {report.samples} samples)"]
-    _emit(args, obj, lines)
-    return 0 if report.passed else 1
+    return report.to_json(), lines, report.passed
 
 
-def _cmd_verify_all(args) -> int:
-    spec = _spec_from(args)
+def _cmd_verify_all(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     timings = {}
     report = verify_all(spec, args.samples, args.seed, args.tol, timings)
     for suite_id, seconds in timings.items() if args.timings else ():
@@ -242,12 +153,11 @@ def _cmd_verify_all(args) -> int:
             lines.append(f"  {entry['suite']:>14}: {status}  max residual "
                          + ("non-finite" if residual is None else f"{residual:.3e}"))
     lines.append(f"overall: {'pass' if report['pass'] else 'FAIL'}")
-    _emit(args, report, lines)
-    return 0 if report["pass"] else 1
+    return report, lines, report["pass"]
 
 
-def _cmd_lyapunov(args) -> int:
-    spec = _spec_from(args)
+def _cmd_lyapunov(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     t = _vector(args.t)
     table = exponent_table(spec)
     rep = splitting(spec, t)
@@ -255,84 +165,116 @@ def _cmd_lyapunov(args) -> int:
     lines = [f"{spec} at t={t}",
              f"  dim G = {table.total}",
              f"  stable {rep.stable_dim}, unstable {rep.unstable_dim}, neutral {rep.neutral_dim}"]
-    _emit(args, obj, lines)
-    return 0
+    return obj, lines, True
 
 
-def _cmd_stable_cycle(args) -> int:
-    spec = _spec_from(args)
+def _cmd_stable_cycle(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     labels = tuple(parse_root(s, spec) for s in args.roots.split(","))
     witness = stable_cycle_feasible(spec, CycleSpec(labels))
     if witness is None:
-        obj = {"feasible": False}
-        lines = ["infeasible: no Cartan element contracts every cycle root"]
-    else:
-        obj = {"feasible": True, "witness": [float(x) for x in witness]}
-        lines = [f"feasible, witness t = {[round(float(x), 6) for x in witness]}"]
-    _emit(args, obj, lines)
-    return 0
+        return ({"feasible": False},
+                ["infeasible: no Cartan element contracts every cycle root"], True)
+    return ({"feasible": True, "witness": [float(x) for x in witness]},
+            [f"feasible, witness t = {[round(float(x), 6) for x in witness]}"], True)
 
 
-def _cmd_genplane(args) -> int:
-    spec = _spec_from(args)
+def _cmd_genplane(args):
+    spec = GroupSpec(args.family, args.m, args.n)
     rep = is_generic_plane(spec, _vector(args.v1), _vector(args.v2))
-    obj = rep.to_json()
     if rep.generic:
         lines = ["generic"]
     else:
         lines = ["not generic; witness: " + ", ".join(str(r) for r in rep.witness)]
-    _emit(args, obj, lines)
-    return 0
+    return rep.to_json(), lines, True
 
 
-def _cmd_normalform(args) -> int:
+def _cmd_normalform(args):
     spec = GroupSpec(args.family, _NORMALFORM_N + args.k, _NORMALFORM_N)
-    B = load_matrix(args.matrix)
-    stair = staircase_decompose(spec, B)
-    obj = stair.to_json()
+    stair = staircase_decompose(spec, mat_from_json(_json_file(args.matrix)))
     lines = [f"staircase rows (descending lengths): {[len(r) for r in stair.rows]}"]
-    _emit(args, obj, lines)
-    return 0
+    return stair.to_json(), lines, True
 
 
-def _cmd_reduce(args) -> int:
-    spec = _spec_from(args)
-    word = load_word(args.word, spec)
-    reduced = free_reduce(spec, word)
-    obj = word_to_json(reduced)
-    _emit(args, obj, [f"reduced to {len(reduced)} letters"])
-    return 0
+def _cmd_reduce(args):
+    spec = GroupSpec(args.family, args.m, args.n)
+    reduced = free_reduce(spec, word_from_json(_json_file(args.word), spec))
+    return word_to_json(reduced), [f"reduced to {len(reduced)} letters"], True
 
 
-def _cmd_trace_pairing(args) -> int:
+def _cmd_trace_pairing(args):
     spec = GroupSpec("su", args.m, args.n)
     report = run_suite(spec, "trace-pairing", args.samples, args.seed, args.tol)
     full = report.to_json()
     obj = {key: full[key] for key in ("spec", "samples", "seed", "pass", "max_residual",
                                       "failures")}
-    _emit(args, obj, [f"trace pairing on {spec}: {'pass' if report.passed else 'FAIL'} "
-                      f"(max residual {report.max_residual:.3e})"])
-    return 0 if report.passed else 1
+    lines = [f"trace pairing on {spec}: {'pass' if report.passed else 'FAIL'} "
+             f"(max residual {report.max_residual:.3e})"]
+    return obj, lines, report.passed
 
 
-_COMMANDS = {
-    "roots": _cmd_roots,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
-    "verify-all": _cmd_verify_all,
-    "lyapunov": _cmd_lyapunov,
-    "stable-cycle": _cmd_stable_cycle,
-    "genplane": _cmd_genplane,
-    "normalform": _cmd_normalform,
-    "reduce": _cmd_reduce,
-    "trace-pairing": _cmd_trace_pairing,
-}
+def build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(prog="rigidkit",
+                 description="Matrix constructions and relation checks for SO+(m,n) and "
+                             "SU(m,n); an option value may begin with '-' (--root -L2)")
+    sub = ap.add_subparsers(dest="command", required=True)
+    # each subcommand once, in help order: name: (help line, handler, the shared options
+    # it takes, its own options as flag -> add_argument keywords); the shared options are
+    # family, m and n (--m and --n together), run (--samples, --seed, --tol) and timings
+    spec_only, suites = "family m n", "family m n run timings"
+    table = {
+        "roots": ("list the restricted roots with multiplicities", _cmd_roots, spec_only, {}),
+        "chain": ("chain element certificate for one root", _cmd_chain, spec_only, {
+            "--root": dict(required=True, help='root name, e.g. "L1-L2"'),
+            "--param": dict(required=True, help='parameter JSON: {"t": x} | {"z": [re,im]} | '
+                                                '{"a": [..]} | {"t": x, "a": [[re,im],..]}')}),
+        "verify": ("run one relation suite", _cmd_verify, suites,
+                   {"--suite": dict(required=True, choices=suite_ids())}),
+        "verify-all": ("run every applicable suite", _cmd_verify_all, suites, {}),
+        "lyapunov": ("exponent table and splitting at a Cartan vector", _cmd_lyapunov, spec_only, {
+            "--t": dict(required=True, help="comma-separated Cartan vector, e.g. 3,2,1")}),
+        "stable-cycle": ("strict feasibility of a stable cycle", _cmd_stable_cycle, spec_only, {
+            "--roots": dict(required=True, help='comma-separated roots, e.g. "L1-L2,L2-L3,L1"')}),
+        "genplane": ("genericity of a 2-plane in the Cartan", _cmd_genplane, spec_only, {
+            "--v1": dict(required=True, help="comma-separated vector"),
+            "--v2": dict(required=True, help="comma-separated vector")}),
+        "normalform": ("staircase normal form of a tail-block matrix", _cmd_normalform, "family", {
+            "--k": dict(type=_int_at_least(2, MAX_SIZE - 2 * _NORMALFORM_N), required=True,
+                        help="tail size m-n"),
+            "--matrix": dict(required=True, help="matrix JSON file")}),
+        "reduce": ("freely reduce a word", _cmd_reduce, spec_only,
+                   {"--word": dict(required=True, help="word JSON file")}),
+        "trace-pairing": ("trace pairing identity on random sphere pairs", _cmd_trace_pairing,
+                          "m n run", {}),
+    }
+    for name, (summary, handler, shared, own) in table.items():
+        shared = shared.split()
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if "family" in shared:
+            p.add_argument("--family", choices=("so", "su"), default="so")
+        if "m" in shared:
+            p.add_argument("--m", type=_number(int), default=4)
+            p.add_argument("--n", type=_number(int), default=3)
+        for flag, kwargs in own.items():
+            p.add_argument(flag, **kwargs)
+        if "run" in shared:
+            p.add_argument("--samples", type=_int_at_least(1), default=1000)
+            p.add_argument("--seed", type=_int_at_least(0), default=42)
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+        p.add_argument("--json", action="store_true")
+        if "timings" in shared:
+            p.add_argument("--timings", action="store_true",
+                           help="print each suite's wall time on stderr; stdout is unchanged")
+    return ap
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        obj, lines, passed = args.handler(args)
+        print(json.dumps(obj) if args.json else "\n".join(lines))
+        return 0 if passed else 1
     except SystemExit:   # --help
         return 0
     except (RigidkitError, ValueError, OSError) as exc:   # JSONDecodeError is a ValueError

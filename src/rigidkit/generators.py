@@ -92,8 +92,8 @@ def _param(spec: GroupSpec, root: RootLabel, value, t=0.0):
 def check_param(spec: GroupSpec, root: RootLabel, p=None, value=None, t=0.0) -> tuple:
     """The one check of a parameter of root, the object p or, without one, the raw
     (value, t): the root; p's class, which must be the one PARAM_CLASS gives the root,
-    and then its raw (value, t); the raw value's type; the vector length; a finite norm
-    of at most PARAM_MAX.
+    and then its raw (value, t); the raw value's type; the vector length and the type
+    of t; a finite norm of at most PARAM_MAX.
     Returns (v, t, norm), v the value the letters are computed from: a complex z, a
     real t, or the vector part as a contiguous complex (unitary) or real (orthogonal)
     array."""
@@ -122,6 +122,9 @@ def check_param(spec: GroupSpec, root: RootLabel, p=None, value=None, t=0.0) -> 
              else np.ascontiguousarray(a.real, dtype=float))
         if len(v) != spec.tail:
             raise ShapeMismatch(f"vector parameter must have length {spec.tail}, got {len(v)}")
+        if not isinstance(t, _REAL):
+            raise ShapeMismatch(f"root {root} of {spec} takes a real central part t, "
+                                f"got {type(t).__name__}")
         norm = math.hypot(t, *map(abs, v.tolist()))   # no square can overflow
     if not norm <= PARAM_MAX:   # written so that a NaN fails it
         got = p if p is not None else f"{value!r} (t = {t!r})"

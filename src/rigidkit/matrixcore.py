@@ -254,8 +254,3 @@ def json_loads(text: str):
     are not JSON, and for a number that overflows a float."""
     return json.loads(text, object_pairs_hook=_strict, parse_constant=_strict,
                       parse_float=_strict, parse_int=_strict)
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return mat_from_json(json_loads(fh.read()))

@@ -287,7 +287,8 @@ def trace_pairing(spec: GroupSpec, a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for v in (a, b):
-        if v.shape != (spec.tail,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL.rel:
+        # written so that a NaN fails it
+        if v.shape != (spec.tail,) or not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL.rel:
             raise NotOnSphere("trace pairing takes unit vectors in C^(m-n)")
     w = partial(w_matrix, spec, parse_label(f"L{spec.n}", spec.n))
     tail = (w(np.sqrt(2.0) * a) @ w(np.sqrt(2.0) * b))[2 * spec.n:, 2 * spec.n:]

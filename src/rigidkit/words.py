@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInGroup, OutOfRange, ParseError, ShapeMismatch, SizeMismatch
-from .matrixcore import (DEFAULT_TOL, GroupSpec, _eye, _frobenius, identity, json_field,
-                         json_loads)
+from .matrixcore import DEFAULT_TOL, GroupSpec, _eye, _frobenius, identity, json_field
 from .generators import (ZERO_PARAM_EPS, check_param, param_add, param_from_json, param_to_json,
                          rot_from_angle)
 from .rootsystem import RootLabel, parse_root
@@ -93,11 +92,6 @@ def word_from_json(obj, spec: GroupSpec) -> list:
         exponent = json_field(item, "exp", int) if "exp" in item else 1
         out.append(Letter(root, param, exponent))
     return out
-
-
-def load_word(path: str, spec: GroupSpec) -> list:
-    with open(path) as fh:
-        return word_from_json(json_loads(fh.read()), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -141,18 +143,27 @@ def test_non_finite_parameter_rejected(spec, root, p):
     (SO53, "L3", 1.0, "root L3 of SO+(5,3) takes RVec, got float"),
     (SO53, "L3", "ab", "root L3 of SO+(5,3) takes RVec, got str"),
     (SU43, "L3", [[1.0]], "root L3 of SU(4,3) takes Heis, got list"),
-    (SU43, "-L3", (1.0, None), "root -L3 of SU(4,3) takes Heis, got tuple")],
+    (SU43, "-L3", (1.0, None), "root -L3 of SU(4,3) takes Heis, got tuple"),
+    # a central part t that is no real number, as an object and as the raw (a, t)
+    (SU43, "L3", Heis("junk", (1.0,)), "root L3 of SU(4,3) takes a real central part t, got str"),
+    (SU43, "-L3", Heis(None, (1.0,)),
+     "root -L3 of SU(4,3) takes a real central part t, got NoneType"),
+    (SU43, "L3", Heis(1j, (1.0,)), "root L3 of SU(4,3) takes a real central part t, got complex")],
     ids=["so-pm", "so-vec", "su-pm", "su-long", "su-vec", "not-a-parameter", "none-for-scalar",
          "list-for-scalar", "complex-for-real", "dict-for-scalar", "str-for-complex",
-         "none-for-vector", "float-for-vector", "str-for-vector", "2d-vector", "none-in-vector"])
+         "none-for-vector", "float-for-vector", "str-for-vector", "2d-vector", "none-in-vector",
+         "str-for-t", "none-for-t", "complex-for-t"])
 def test_wrong_parameter_class_is_named(spec, root, p, message):
     # the class PARAM_CLASS gives each (family, root kind), named as it always was;
     # w_matrix reads anything but a parameter object as a raw value, and check_param
     # refuses a raw value of the wrong type with the same message
     label = parse_root(root, spec)
-    for build in (x_elem, w_elem, w_closed_form, w_matrix):
+    builds = [partial(build, spec, label, p) for build in (x_elem, w_elem, w_closed_form, w_matrix)]
+    if "central part" in message:   # the same parameter as the raw (a, t)
+        builds.append(partial(w_matrix, spec, label, p.a, p.t))
+    for build in builds:
         with pytest.raises(ShapeMismatch) as err:
-            build(spec, label, p)
+            build()
         assert str(err.value) == message
 
 

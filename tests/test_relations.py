@@ -580,8 +580,9 @@ def test_trace_pairing_orthogonal_vectors():
 
 
 def test_trace_pairing_errors():
-    with pytest.raises(NotOnSphere):
-        trace_pairing(GroupSpec("su", 5, 3), np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    for a in ([2.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(NotOnSphere):
+            trace_pairing(GroupSpec("su", 5, 3), np.array(a), np.array([1.0, 0.0]))
     with pytest.raises(SideConditionViolated):
         trace_pairing(GroupSpec("su", 3, 3), np.zeros(0), np.zeros(0))
     with pytest.raises(SideConditionViolated):

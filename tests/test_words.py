@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidkit.errors import NotInGroup
-from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity
+from rigidkit.matrixcore import DEFAULT_TOL, GroupSpec, identity, json_loads
 from rigidkit.generators import Cx, Heis, Scalar, w_closed_form, w_matrix
 from rigidkit.rootsystem import parse_root, roots
 from rigidkit.relations import rand_param, rng_for
 from rigidkit import generators
-from rigidkit.words import (Letter, Staircase, free_reduce, load_word, reconstruct,
+from rigidkit.words import (Letter, Staircase, free_reduce, reconstruct,
                             staircase_decompose, staircase_rows,
                             su2_euler, word_from_json, word_to_json)
 
@@ -120,13 +120,11 @@ def test_chain_word_matches_closed_form():
         assert DEFAULT_TOL.close(eval_word(spec, word), w_closed_form(spec, root, p).matrix())
 
 
-def test_word_json_roundtrip(tmp_path):
+def test_word_json_roundtrip():
     word = [Letter(parse_root("L1-L2", SU43), Cx(0.5 - 0.25j), 1),
             Letter(parse_root("L3", SU43), Heis(0.125, (1.0 + 2.0j,)), -1),
             Letter(parse_root("2L3", SU43), Scalar(0.75), 1)]
-    path = tmp_path / "word.json"
-    path.write_text(json.dumps(word_to_json(word)))
-    assert load_word(path, SU43) == word
+    assert word_from_json(json_loads(json.dumps(word_to_json(word))), SU43) == word
     assert word_from_json(word_to_json(word), SU43) == word
 
 

@@ -4,8 +4,8 @@ Usage: python3 tools/report_set.py OUTDIR.  ``runs`` lists every run as data:
 (name, argv, input files).  Each run writes its input files into OUTDIR, then
 runs ``python -m rigidkit.cli`` (against the ``src`` beside this script) there
 and leaves NAME.out, NAME.err and NAME.code, so ``diff -r`` of two checkouts'
-directories shows every changed byte.  tests/test_reachability.py runs the same
-list in-process.
+directories shows every changed byte, help text included.
+tests/test_reachability.py runs the same list in-process.
 """
 import json, math, os, subprocess, sys
 
@@ -99,11 +99,16 @@ def runs(suites):
     cli("genplane-near-proportional", "genplane", "--v1", "1,2,3", "--v2", "1.0000000001,2,3")
     cli("verify-tol-additivity-so43", "verify", "--suite", "additivity", "--family", "so", "--m",
         "4", "--n", "3", "--samples", "200", "--seed", "7", "--tol", "1e-12", "--json")
+    # the help text of the top level and of every command run above
+    commands = dict.fromkeys(argv[0] for _, argv, _ in out)
+    cli("help", "--help")
+    for command in commands:
+        cli(f"help-{command}", command, "--help")
     return out
 
 
 def main(out):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")   # argparse wraps help to COLUMNS
     os.makedirs(out, exist_ok=True)
     suites = subprocess.check_output([sys.executable, "-c", "import rigidkit.relations as r; "
                                       "print(*r.SUITES)"], env=env, text=True).split()
